@@ -33,12 +33,10 @@ from .exactdist import (
     LatticeParams,
     argmax_set,
     concentration,
-    convolve,
     de_moivre_pmf,
     moments,
     pair_concentration,
     power,
-    uniform_density,
 )
 from .spectral import (
     QuadratureResult,

@@ -243,11 +243,7 @@ def _cmd_report(args) -> int:
         per_check.setdefault(cell.check, []).append(cell)
     for check in sorted(per_check):
         cells = per_check[check]
-        bad = sum(
-            1
-            for c in cells
-            if (c.expected == "holds") != (c.verdict == "Holds") or c.verdict == "Inconclusive"
-        )
+        bad = sum(1 for c in cells if c.mismatch or c.verdict == "Inconclusive")
         status = "ok" if bad == 0 else f"{bad} unexpected"
         print(f"{check:<14} cells={len(cells):<6} {status}")
     print(_summary_line(report))

@@ -10,15 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
+from operator import sub
 
 from .errors import ParameterError
 
 __all__ = [
     "LatticeParams",
     "ExactDensity",
-    "uniform_density",
-    "convolve",
     "power",
     "de_moivre_pmf",
     "concentration",
@@ -40,10 +40,10 @@ class LatticeParams:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.ell, int) or self.ell < 1:
-            raise ParameterError(f"ell must be an integer >= 1, got {self.ell!r}")
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ParameterError(f"n must be an integer >= 1, got {self.n!r}")
+        # bool is an int subclass; True would pass as 1 without this check
+        for name, value in (("ell", self.ell), ("n", self.n)):
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
 
     @property
     def support_size(self) -> int:
@@ -85,66 +85,26 @@ class ExactDensity:
         return Fraction(0)
 
 
-def uniform_density(ell: int) -> ExactDensity:
-    """Uniform pmf on {0, ..., ell-1}: mass 1/ell at each point."""
-    params = LatticeParams(ell, 1)
-    return ExactDensity(params, (1,) * ell, 1)
-
-
-def convolve(a: ExactDensity, b: ExactDensity) -> ExactDensity:
-    """Exact convolution of two densities over the same base lattice.
-
-    The output numerators are the Cauchy product of the input numerator
-    sequences.  Both inputs are symmetric about their centers, hence so is
-    the product; only the lower half is computed and the rest mirrored.
-
-    The point mass (ell = 1) is the convolution identity and combines with
-    any lattice; all other mixed-lattice inputs are rejected.
-    """
-    if a.params.ell == 1:
-        return b
-    if b.params.ell == 1:
-        return a
-    if a.params.ell != b.params.ell:
-        raise ParameterError(
-            f"mismatched lattices: ell={a.params.ell} vs ell={b.params.ell}"
-        )
-    ell = a.params.ell
-    n_out = a.params.n + b.params.n
-    xa, xb = a.numerators, b.numerators
-    size = n_out * (ell - 1) + 1
-    out = [0] * size
-    half = (size - 1) // 2
-    for k in range(half + 1):
-        lo = max(0, k - len(xb) + 1)
-        hi = min(k, len(xa) - 1)
-        acc = 0
-        for i in range(lo, hi + 1):
-            acc += xa[i] * xb[k - i]
-        out[k] = acc
-    for k in range(half + 1, size):
-        out[k] = out[size - 1 - k]
-    return ExactDensity(LatticeParams(ell, n_out), tuple(out), n_out)
-
-
 def power(params: LatticeParams) -> ExactDensity:
-    """n-fold self-convolution of the uniform density, by binary powering.
+    """n-fold self-convolution of the uniform density, by the sliding-window
+    recurrence ``pmf_{m+1}[k] = sum_{j<ell} pmf_m[k-j]``.
 
-    Exactly equal to folding ``uniform_density(ell)`` into itself n times,
-    but uses O(log n) convolutions of growing supports.
+    Each step takes one window difference of running sums per point, so it
+    costs O(support) big-integer additions.  Every row is symmetric about its
+    center; only the lower half is computed and the rest mirrored.
     """
-    base = uniform_density(params.ell)
-    n = params.n
-    acc: ExactDensity | None = None
-    sq = base
-    while n > 0:
-        if n & 1:
-            acc = sq if acc is None else convolve(acc, sq)
-        n >>= 1
-        if n > 0:
-            sq = convolve(sq, sq)
-    assert acc is not None
-    return acc
+    ell, n = params.ell, params.n
+    row = [1] * ell
+    for m in range(2, n + 1):
+        size = m * (ell - 1) + 1
+        half = (size + 1) // 2
+        # lower[k] = prefix[k+1] - prefix[k+1-ell], the window clipped at 0
+        # for k < ell - 1; for m >= 2 the lower half never reaches past the
+        # previous row's support, so the right end needs no clipping
+        prefix = [0, *accumulate(row[:half])]
+        lower = prefix[1:ell] + list(map(sub, prefix[ell:], prefix))
+        row = lower + lower[: size // 2][::-1]
+    return ExactDensity(params, tuple(row), n)
 
 
 def de_moivre_pmf(params: LatticeParams, k: int) -> Fraction:

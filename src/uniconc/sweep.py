@@ -1,9 +1,10 @@
 """Grid sweeps of the certified checks, with deterministic reports.
 
-Cells are independent work items; they may be computed by a worker pool, but
-records are always sorted by (check, ell, n) before serialization, so the
-report bytes do not depend on the execution order or the level of
-parallelism.
+The work unit is one (ell, n) grid point, which computes the cells of every
+requested check from one shared concentration and pmf.  Points are
+independent and may be computed by a worker pool, but records are always
+sorted by (check, ell, n) before serialization, so the report bytes do not
+depend on the execution order or the level of parallelism.
 """
 
 from __future__ import annotations
@@ -11,14 +12,17 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import bounds
 from .certify import Interval, Outcome, Verdict, certify_less, evaluate, verdict_between
 from .errors import ParameterError
 from .exactdist import (
+    ExactDensity,
     LatticeParams,
     argmax_set,
     concentration,
@@ -69,6 +73,11 @@ CSV_COLUMNS = (
 
 _BESSEL_G_TOL = Fraction(1, 10**12)
 
+# the pi enclosure alone takes about half a second at 2**14 bits and about
+# eight times as long per doubling, so a typo such as 10**9 would hang
+# rather than fail
+_MAX_PRECISION_BITS = 16384
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -89,8 +98,10 @@ class SweepConfig:
         bad = set(self.checks) - set(CHECKS)
         if bad or not self.checks:
             raise ParameterError(f"unknown checks: {sorted(bad)}; valid: {CHECKS}")
-        if self.precision_bits < 64:
-            raise ParameterError("precision_bits must be >= 64")
+        if not 64 <= self.precision_bits <= _MAX_PRECISION_BITS:
+            raise ParameterError(
+                f"precision_bits must be in 64..{_MAX_PRECISION_BITS}, got {self.precision_bits}"
+            )
         if self.output_format not in ("csv", "json"):
             raise ParameterError(f"format must be csv or json, got {self.output_format}")
         if self.parallelism < 1:
@@ -121,6 +132,14 @@ class SweepCell:
     margin_lo: str
     margin_hi: str
     expected: str
+
+    @property
+    def mismatch(self) -> bool:
+        """A decided verdict on the wrong side of the expected region;
+        Inconclusive cells are counted separately and never mismatch."""
+        return self.verdict != "Inconclusive" and (self.expected == "holds") != (
+            self.verdict == "Holds"
+        )
 
 
 @dataclass(frozen=True)
@@ -244,33 +263,49 @@ def _exact_cell(ell: int, n: int, check: str, exact: Fraction, ok: bool) -> Swee
     )
 
 
-def _cell_main(ell: int, n: int, prec: int) -> SweepCell:
-    c = concentration(LatticeParams(ell, n))
-    expr = bounds.main_bound_expr(ell, n)
-    verdict = certify_less(c, expr, max_precision_bits=prec)
-    expected = "reversed" if (n == 2 and ell >= 5) else "holds"
-    return _verdict_cell(ell, n, "main", c, evaluate(expr, prec), verdict, expected)
+class _Point:
+    """One (ell, n) grid point.  Its concentration and full pmf are computed
+    at most once, on first use, and shared by every check of the point."""
+
+    def __init__(self, ell: int, n: int):
+        self.ell, self.n = ell, n
+        self.params = LatticeParams(ell, n)
+
+    @cached_property
+    def conc(self) -> Fraction:
+        return concentration(self.params)
+
+    @cached_property
+    def pmf(self) -> ExactDensity:
+        return power(self.params)
 
 
-def _cell_corollary(ell: int, n: int, prec: int) -> SweepCell:
-    c = concentration(LatticeParams(ell, n))
-    expr = bounds.corollary_bound_expr(ell, n)
-    verdict = certify_less(c, expr, max_precision_bits=prec)
-    return _verdict_cell(ell, n, "corollary", c, evaluate(expr, prec), verdict, "holds")
+def _cell_main(p: _Point, prec: int) -> SweepCell:
+    expr = bounds.main_bound_expr(p.ell, p.n)
+    verdict = certify_less(p.conc, expr, max_precision_bits=prec)
+    expected = "reversed" if (p.n == 2 and p.ell >= 5) else "holds"
+    return _verdict_cell(p.ell, p.n, "main", p.conc, evaluate(expr, prec), verdict, expected)
 
 
-def _cell_wallis(ell: int, n: int, prec: int) -> SweepCell:
-    # only meaningful on the two-point lattice, where the concentration is a
-    # central binomial probability; k is matched so that c_{2,n} = C(2k,k)/4**k
-    k = (n + 1) // 2
-    c = concentration(LatticeParams(2, n))
-    expr = bounds.wallis_bound_expr(k)
-    verdict = certify_less(c, expr, max_precision_bits=prec)
-    return _verdict_cell(ell, n, "wallis", c, evaluate(expr, prec), verdict, "holds")
+def _cell_corollary(p: _Point, prec: int) -> SweepCell:
+    expr = bounds.corollary_bound_expr(p.ell, p.n)
+    verdict = certify_less(p.conc, expr, max_precision_bits=prec)
+    return _verdict_cell(p.ell, p.n, "corollary", p.conc, evaluate(expr, prec), verdict, "holds")
 
 
-def _cell_bessel_chain(ell: int, n: int, prec: int) -> SweepCell:
-    pair = pair_concentration(LatticeParams(3, n))
+def _cell_wallis(p: _Point, prec: int) -> SweepCell:
+    # only run on the two-point lattice (see _CHECK_ELL_FILTER), where the
+    # concentration is a central binomial probability; k is matched so that
+    # c_{2,n} = C(2k,k)/4**k
+    expr = bounds.wallis_bound_expr((p.n + 1) // 2)
+    verdict = certify_less(p.conc, expr, max_precision_bits=prec)
+    return _verdict_cell(p.ell, p.n, "wallis", p.conc, evaluate(expr, prec), verdict, "holds")
+
+
+def _cell_bessel_chain(p: _Point, prec: int) -> SweepCell:
+    # only run on the three-point lattice (see _CHECK_ELL_FILTER)
+    n = p.n
+    pair = pair_concentration(p.params)
     middle = bounds.bessel_G(Fraction(2 * n, 3), _BESSEL_G_TOL).value
     outer = evaluate(bounds.bessel_chain_expr(n), prec)
     left = verdict_between(pair, middle, prec)
@@ -286,27 +321,26 @@ def _cell_bessel_chain(ell: int, n: int, prec: int) -> SweepCell:
         min(left.margin.lo, right.margin.lo), min(left.margin.hi, right.margin.hi)
     )
     verdict = Verdict(outcome, prec, margin)
-    return _verdict_cell(ell, n, "bessel_chain", pair, outer, verdict, "holds")
+    return _verdict_cell(p.ell, n, "bessel_chain", pair, outer, verdict, "holds")
 
 
-def _cell_dsequence(ell: int, n: int, prec: int) -> SweepCell:
+def _cell_dsequence(p: _Point, prec: int) -> SweepCell:
     # the concentration rescaled by sqrt(pi*(ell**2-1)*n/6) stays below d_n;
     # stated equivalently as c < d_n * main_bound so the left side is rational
-    c = concentration(LatticeParams(ell, n))
-    expr = bounds.d_sequence_expr(n) * bounds.main_bound_expr(ell, n)
-    verdict = certify_less(c, expr, max_precision_bits=prec)
-    return _verdict_cell(ell, n, "dsequence", c, evaluate(expr, prec), verdict, "holds")
+    expr = bounds.d_sequence_expr(p.n) * bounds.main_bound_expr(p.ell, p.n)
+    verdict = certify_less(p.conc, expr, max_precision_bits=prec)
+    return _verdict_cell(p.ell, p.n, "dsequence", p.conc, evaluate(expr, prec), verdict, "holds")
 
 
-def _cell_bretagnolle(ell: int, n: int, prec: int) -> SweepCell:
-    c = concentration(LatticeParams(ell, n))
-    rhs = Fraction(2, ell) * concentration(LatticeParams(2, n))
+def _cell_bretagnolle(p: _Point, prec: int) -> SweepCell:
+    c = p.conc
+    rhs = Fraction(2, p.ell) * concentration(LatticeParams(2, p.n))
     margin = rhs - c  # non-strict comparison: equality holds at ell = 2
     rhs_str = decimal_string(rhs)
     margin_str = decimal_string(margin)
     return SweepCell(
-        ell=ell,
-        n=n,
+        ell=p.ell,
+        n=p.n,
         check="bretagnolle",
         exact=decimal_string(c),
         exact_fraction=_fraction_string(c),
@@ -319,40 +353,37 @@ def _cell_bretagnolle(ell: int, n: int, prec: int) -> SweepCell:
     )
 
 
-def _central_points(params: LatticeParams) -> set[int]:
-    return {params.top // 2, (params.top + 1) // 2}
+def _central_value(p: _Point) -> Fraction:
+    d = p.pmf
+    return Fraction(d.numerators[p.params.top // 2], d.denominator)
 
 
-def _cell_argmax(ell: int, n: int, prec: int) -> SweepCell:
-    params = LatticeParams(ell, n)
-    d = power(params)
-    central = _central_points(params)
-    peak = argmax_set(d)
+def _cell_argmax(p: _Point, prec: int) -> SweepCell:
+    top = p.params.top
+    central = {top // 2, (top + 1) // 2}
+    peak = argmax_set(p.pmf)
     # for n = 1 the pmf is flat and every point is maximal; the central
     # points must still be among them
-    ok = central <= peak if n == 1 else peak == central
-    c = Fraction(d.numerators[params.top // 2], d.denominator)
-    return _exact_cell(ell, n, "argmax", c, ok)
+    ok = central <= peak if p.n == 1 else peak == central
+    return _exact_cell(p.ell, p.n, "argmax", _central_value(p), ok)
 
 
-def _cell_moments(ell: int, n: int, prec: int) -> SweepCell:
-    params = LatticeParams(ell, n)
-    mean, var = moments(power(params))
+def _cell_moments(p: _Point, prec: int) -> SweepCell:
+    ell, n = p.ell, p.n
+    mean, var = moments(p.pmf)
     ok = mean == Fraction(n * (ell - 1), 2) and var == Fraction(n * (ell * ell - 1), 12)
     return _exact_cell(ell, n, "moments", mean, ok)
 
 
-def _cell_oracle_equiv(ell: int, n: int, prec: int) -> SweepCell:
-    params = LatticeParams(ell, n)
-    d = power(params)
+def _cell_oracle_equiv(p: _Point, prec: int) -> SweepCell:
+    params, d = p.params, p.pmf
     denom = d.denominator
     ok = all(
         de_moivre_pmf(params, k) == Fraction(num, denom)
         for k, num in enumerate(d.numerators)
     )
     ok = ok and de_moivre_pmf(params, -1) == 0 and de_moivre_pmf(params, params.top + 1) == 0
-    c = Fraction(d.numerators[params.top // 2], denom)
-    return _exact_cell(ell, n, "oracle_equiv", c, ok)
+    return _exact_cell(p.ell, p.n, "oracle_equiv", _central_value(p), ok)
 
 
 _CELL_FUNCS = {
@@ -372,41 +403,47 @@ _CELL_FUNCS = {
 _CHECK_ELL_FILTER = {"wallis": 2, "bessel_chain": 3}
 
 
-def _run_cell(task: tuple[str, int, int, int]) -> SweepCell:
-    check, ell, n, prec = task
-    return _CELL_FUNCS[check](ell, n, prec)
+def _run_point(task: tuple[int, int, tuple[str, ...], int]) -> list[SweepCell]:
+    ell, n, checks, prec = task
+    point = _Point(ell, n)
+    return [_CELL_FUNCS[check](point, prec) for check in checks]
 
 
-def _tasks(config: SweepConfig) -> list[tuple[str, int, int, int]]:
+def _tasks(config: SweepConfig) -> list[tuple[int, int, tuple[str, ...], int]]:
+    """One task per (ell, n) point that has at least one applicable check."""
     out = []
-    for check in sorted(config.checks):
-        only_ell = _CHECK_ELL_FILTER.get(check)
-        for ell in range(config.ell_range[0], config.ell_range[1] + 1):
-            if only_ell is not None and ell != only_ell:
-                continue
-            for n in range(config.n_range[0], config.n_range[1] + 1):
-                out.append((check, ell, n, config.precision_bits))
+    for ell in range(config.ell_range[0], config.ell_range[1] + 1):
+        checks = tuple(
+            c for c in sorted(config.checks) if _CHECK_ELL_FILTER.get(c, ell) == ell
+        )
+        if not checks:
+            continue
+        for n in range(config.n_range[0], config.n_range[1] + 1):
+            out.append((ell, n, checks, config.precision_bits))
     return out
+
+
+def _pool_size(requested: int, cpus: int | None, units: int) -> int:
+    """Workers to start: never more than asked for, than cores, or than work
+    units, and at least one."""
+    return max(1, min(requested, cpus or 1, units))
 
 
 def run_sweep(config: SweepConfig) -> SweepReport:
     tasks = _tasks(config)
-    if config.parallelism == 1 or len(tasks) < 2:
-        cells = [_run_cell(t) for t in tasks]
+    workers = _pool_size(config.parallelism, os.cpu_count(), len(tasks))
+    if workers == 1:
+        points = [_run_point(t) for t in tasks]
     else:
-        chunk = max(1, len(tasks) // (config.parallelism * 8))
-        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
-            cells = list(pool.map(_run_cell, tasks, chunksize=chunk))
+        chunk = max(1, len(tasks) // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            points = list(pool.map(_run_point, tasks, chunksize=chunk))
+    cells = [cell for point in points for cell in point]
     cells.sort(key=lambda c: (c.check, c.ell, c.n))
     holds = sum(1 for c in cells if c.verdict == "Holds")
     fails = sum(1 for c in cells if c.verdict == "Fails")
     inconclusive = sum(1 for c in cells if c.verdict == "Inconclusive")
-    mismatches = sum(
-        1
-        for c in cells
-        if (c.expected == "holds" and c.verdict == "Fails")
-        or (c.expected == "reversed" and c.verdict == "Holds")
-    )
+    mismatches = sum(1 for c in cells if c.mismatch)
     return SweepReport(
         config, cells, SweepSummary(len(cells), holds, fails, inconclusive, mismatches)
     )

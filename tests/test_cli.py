@@ -2,14 +2,18 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import uniconc.cli as cli
+import uniconc.sweep as sweep
 from uniconc.cli import main
 from uniconc.errors import ParameterError
 from uniconc.sweep import (
+    CHECKS,
     CSV_COLUMNS,
+    SweepCell,
     SweepConfig,
     SweepReport,
     SweepSummary,
@@ -232,6 +236,56 @@ class TestSweepEngine:
         with pytest.raises(ParameterError):
             SweepConfig((2, 4), (1, 2), ("main",), 256, "xml")
 
+    def test_precision_cap(self):
+        assert SweepConfig((2, 2), (1, 1), ("main",), 16384).precision_bits == 16384
+        for bad in (63, 16385, 10**9):
+            with pytest.raises(ParameterError):
+                SweepConfig((2, 2), (1, 1), ("main",), bad)
+        assert main(["verify", "--ell-range", "2:2", "--n-range", "1:1",
+                     "--precision-bits", "16385"]) == 2
+
+    @pytest.mark.parametrize(
+        "requested,cpus,units,expected",
+        [(10**6, 2, 540, 2), (8, 64, 3, 3), (1, 64, 540, 1), (8, None, 540, 1), (4, 8, 0, 1)],
+    )
+    def test_pool_size_clamp(self, requested, cpus, units, expected):
+        assert sweep._pool_size(requested, cpus, units) == expected
+
+    @pytest.mark.parametrize(
+        "expected,verdict,mismatch",
+        [
+            ("holds", "Holds", False),
+            ("holds", "Fails", True),
+            ("reversed", "Holds", True),
+            ("reversed", "Fails", False),
+            ("holds", "Inconclusive", False),
+            ("reversed", "Inconclusive", False),
+        ],
+    )
+    def test_cell_mismatch(self, expected, verdict, mismatch):
+        cell = SweepCell(2, 1, "main", "", "", "", "", verdict, "", "", expected)
+        assert cell.mismatch is mismatch
+
+    def test_exact_objects_built_once_per_point_and_only_on_demand(self, monkeypatch):
+        calls = {"power": 0, "concentration": 0}
+
+        def counted(name):
+            real = getattr(sweep, name)
+
+            def wrapper(params):
+                calls[name] += 1
+                return real(params)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(sweep, name, counted(name))
+        run_sweep(SweepConfig((2, 4), (1, 3), ("argmax", "moments", "oracle_equiv"), 128))
+        assert calls == {"power": 9, "concentration": 0}
+        calls.update(power=0)
+        run_sweep(SweepConfig((2, 4), (1, 3), ("main", "corollary", "dsequence"), 128))
+        assert calls == {"power": 0, "concentration": 9}
+
     def test_summary_clean_logic(self):
         assert SweepSummary(5, 5, 0, 0, 0).clean
         assert not SweepSummary(5, 4, 1, 0, 1).clean
@@ -278,3 +332,22 @@ class TestReportCommand:
             "argmax", "bessel_chain", "bretagnolle", "corollary", "dsequence",
             "main", "moments", "oracle_equiv", "wallis",
         }
+
+
+class TestGoldenReport:
+    """The criterion-12 grid (ell 2:8, n 1:20, all checks, 256 bits) against
+    reports committed under tests/golden before the exact layer and the sweep
+    were restructured; any change to a verdict, a rendered number or the
+    summary shows up as a byte difference."""
+
+    GOLDEN = Path(__file__).parent / "golden"
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        return run_sweep(SweepConfig((2, 8), (1, 20), CHECKS, 256))
+
+    def test_csv_bytes(self, report):
+        assert report_to_csv_bytes(report) == (self.GOLDEN / "criterion12.csv").read_bytes()
+
+    def test_json_bytes(self, report):
+        assert report_to_json_bytes(report) == (self.GOLDEN / "criterion12.json").read_bytes()

@@ -1,9 +1,12 @@
-"""Exact-distribution layer: frozen examples plus exhaustive small-grid invariants."""
+"""Exact-distribution layer: frozen examples, exhaustive small-grid
+invariants and property tests of the prefix-sum recurrence."""
 
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uniconc.errors import ParameterError
 from uniconc.exactdist import (
@@ -11,21 +14,24 @@ from uniconc.exactdist import (
     LatticeParams,
     argmax_set,
     concentration,
-    convolve,
     de_moivre_pmf,
     moments,
     pair_concentration,
     power,
-    uniform_density,
 )
 
 
-def naive_power(ell: int, n: int) -> ExactDensity:
-    """Independent oracle: fold the uniform density one factor at a time."""
-    d = uniform_density(ell)
-    for _ in range(n - 1):
-        d = convolve(d, uniform_density(ell))
-    return d
+def naive_power(ell: int, n: int) -> tuple[int, ...]:
+    """Independent oracle: numerators of the n-fold sum, folding in one
+    uniform factor at a time by a direct Cauchy product."""
+    nums = [1]
+    for _ in range(n):
+        out = [0] * (len(nums) + ell - 1)
+        for i, v in enumerate(nums):
+            for j in range(ell):
+                out[i + j] += v
+        nums = out
+    return tuple(nums)
 
 
 def closed_form_two(ell: int, k: int) -> Fraction:
@@ -36,45 +42,47 @@ def closed_form_two(ell: int, k: int) -> Fraction:
 
 
 class TestUniformDensity:
+    """The first power is the uniform density itself."""
+
     def test_two_point(self):
-        d = uniform_density(2)
+        d = power(LatticeParams(2, 1))
         assert d.numerators == (1, 1)
         assert d.denominator == 2
 
     def test_three_point(self):
-        d = uniform_density(3)
+        d = power(LatticeParams(3, 1))
         assert d.numerators == (1, 1, 1)
         assert d.denominator == 3
 
     def test_point_mass(self):
-        d = uniform_density(1)
+        d = power(LatticeParams(1, 1))
         assert d.numerators == (1,)
         assert d.denominator == 1
 
     @pytest.mark.parametrize("bad", [0, -3])
     def test_rejects_nonpositive(self, bad):
         with pytest.raises(ParameterError):
-            uniform_density(bad)
+            power(LatticeParams(bad, 1))
 
 
 class TestConvolve:
+    """The second power is the self-convolution of the uniform density."""
+
     def test_square_of_two(self):
-        d = convolve(uniform_density(2), uniform_density(2))
+        d = power(LatticeParams(2, 2))
         assert d.numerators == (1, 2, 1)
         assert d.denominator == 4
 
     def test_square_of_three(self):
-        d = convolve(uniform_density(3), uniform_density(3))
+        d = power(LatticeParams(3, 2))
         assert d.numerators == (1, 2, 3, 2, 1)
         assert d.denominator == 9
 
     def test_point_mass_is_identity(self):
-        d = convolve(uniform_density(1), uniform_density(2))
-        assert d.numerators == (1, 1)
-
-    def test_rejects_mismatched_lattice(self):
-        with pytest.raises(ParameterError):
-            convolve(uniform_density(2), uniform_density(3))
+        # the point mass at zero convolved with itself stays the point mass
+        d = power(LatticeParams(1, 2))
+        assert d.numerators == (1,)
+        assert d.denominator == 1
 
 
 class TestPower:
@@ -90,7 +98,11 @@ class TestPower:
     @pytest.mark.parametrize("ell", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 12])
     def test_matches_naive_convolution_oracle(self, ell, n):
-        assert power(LatticeParams(ell, n)) == naive_power(ell, n)
+        params = LatticeParams(ell, n)
+        d = power(params)
+        assert d.numerators == naive_power(ell, n)
+        assert d.params == params
+        assert d.denominator == ell**n
 
     @pytest.mark.parametrize("ell", range(2, 9))
     @pytest.mark.parametrize("n", range(1, 13))
@@ -172,7 +184,7 @@ class TestArgmax:
         assert argmax_set(power(LatticeParams(3, 2))) == {2}
 
     def test_flat_pmf(self):
-        assert argmax_set(uniform_density(4)) == {0, 1, 2, 3}
+        assert argmax_set(power(LatticeParams(4, 1))) == {0, 1, 2, 3}
 
     @pytest.mark.parametrize("ell", range(2, 9))
     @pytest.mark.parametrize("n", range(1, 13))
@@ -194,7 +206,7 @@ class TestMoments:
         assert var == Fraction(4, 3)
 
     def test_single_uniform(self):
-        mean, var = moments(uniform_density(2))
+        mean, var = moments(power(LatticeParams(2, 1)))
         assert mean == Fraction(1, 2)
         assert var == Fraction(1, 4)
 
@@ -237,6 +249,48 @@ class TestValidation:
         with pytest.raises(ParameterError):
             LatticeParams(-1, 4)
 
+    def test_rejects_bools(self):
+        # bool is an int subclass, so True would otherwise pass as 1
+        with pytest.raises(ParameterError):
+            LatticeParams(True, 3)
+        with pytest.raises(ParameterError):
+            LatticeParams(2, True)
+        with pytest.raises(ParameterError):
+            LatticeParams(False, 3)
+
     def test_density_length_checked(self):
         with pytest.raises(ParameterError):
             ExactDensity(LatticeParams(2, 2), (1, 2), 2)
+
+
+lattices = st.builds(
+    LatticeParams, ell=st.integers(min_value=1, max_value=12), n=st.integers(min_value=1, max_value=40)
+)
+
+
+class TestPowerProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(lattices)
+    def test_matches_fold(self, params):
+        assert power(params).numerators == naive_power(params.ell, params.n)
+
+    @settings(max_examples=30, deadline=None)
+    @given(lattices, st.data())
+    def test_matches_de_moivre(self, params, data):
+        d = power(params)
+        ks = data.draw(
+            st.lists(st.integers(min_value=-2, max_value=params.top + 2), min_size=1, max_size=8)
+        )
+        for k in ks + [params.top // 2]:
+            assert de_moivre_pmf(params, k) == d.pmf(k)
+
+    @settings(max_examples=50, deadline=None)
+    @given(lattices)
+    def test_symmetric_normalised_unimodal(self, params):
+        nums = power(params).numerators
+        assert len(nums) == params.support_size
+        assert sum(nums) == params.ell**params.n
+        assert nums == nums[::-1]
+        assert all(v > 0 for v in nums)
+        # non-decreasing up to the center; symmetry gives the other side
+        assert all(a <= b for a, b in zip(nums[: len(nums) // 2], nums[1:]))
