@@ -2,16 +2,7 @@
 probabilities, and certified verdicts for the sharp concentration bounds."""
 
 from .asymptotics import CltReport, clt_ratio, clt_report, local_clt_sup_dev
-from .bounds import (
-    BoundKind,
-    BoundValue,
-    bessel_G,
-    bessel_chain_bound,
-    corollary_bound,
-    d_sequence,
-    main_bound,
-    wallis_bound,
-)
+from .bounds import bessel_G
 from .certify import (
     PI,
     Const,
@@ -23,7 +14,6 @@ from .certify import (
     certify_less,
     evaluate,
     pi_enclosure,
-    sqrt_enclosure,
     sqrt_expr,
     verdict_between,
 )

@@ -2,50 +2,26 @@
 
 Every irrational value is returned as an interval, never a bare float: the
 boundary cases of the sharp bound are decided by margins of a few 1e-4 and
-must not depend on rounding luck.  Expression builders are exposed alongside
-the evaluated bounds so callers can feed the same formulas to the certified
-comparison engine.
+must not depend on rounding luck.  The closed forms are expression builders,
+evaluated and compared by the certified engine (``certify.evaluate``,
+``certify.certify_less``); ``G`` is enclosed here by rational series.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
-from .certify import PI, Const, Expr, Interval, _round_fraction, evaluate, sqrt_expr
+from .certify import PI, Const, Expr, Interval, _round_fraction, sqrt_expr
 from .errors import ParameterError
 
 __all__ = [
-    "BoundKind",
-    "BoundValue",
-    "main_bound",
     "main_bound_expr",
-    "corollary_bound",
     "corollary_bound_expr",
-    "wallis_bound",
     "wallis_bound_expr",
-    "d_sequence",
     "d_sequence_expr",
     "bessel_G",
-    "bessel_chain_bound",
     "bessel_chain_expr",
 ]
-
-
-class BoundKind(Enum):
-    MAIN_BOUND = "MainBound"
-    COROLLARY_BOUND = "CorollaryBound"
-    WALLIS_BOUND = "WallisBound"
-    BESSEL_G = "BesselG"
-    BESSEL_CHAIN = "BesselChain"
-    D_SEQUENCE = "DSequence"
-
-
-@dataclass(frozen=True)
-class BoundValue:
-    value: Interval
-    kind: BoundKind
 
 
 def _check_ell_n(ell: int, n: int) -> None:
@@ -61,20 +37,10 @@ def main_bound_expr(ell: int, n: int) -> Expr:
     return sqrt_expr(6 / (PI * ((ell * ell - 1) * n)))
 
 
-def main_bound(ell: int, n: int, precision_bits: int) -> BoundValue:
-    return BoundValue(evaluate(main_bound_expr(ell, n), precision_bits), BoundKind.MAIN_BOUND)
-
-
 def corollary_bound_expr(ell: int, n: int) -> Expr:
     """2*sqrt(2/pi) / (ell*sqrt(n)), written as a single square root."""
     _check_ell_n(ell, n)
     return sqrt_expr(8 / (PI * (ell * ell * n)))
-
-
-def corollary_bound(ell: int, n: int, precision_bits: int) -> BoundValue:
-    return BoundValue(
-        evaluate(corollary_bound_expr(ell, n), precision_bits), BoundKind.COROLLARY_BOUND
-    )
 
 
 def wallis_bound_expr(k: int) -> Expr:
@@ -82,10 +48,6 @@ def wallis_bound_expr(k: int) -> Expr:
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     return sqrt_expr(1 / (PI * k))
-
-
-def wallis_bound(k: int, precision_bits: int) -> BoundValue:
-    return BoundValue(evaluate(wallis_bound_expr(k), precision_bits), BoundKind.WALLIS_BOUND)
 
 
 def d_sequence_expr(n: int) -> Expr:
@@ -104,19 +66,11 @@ def d_sequence_expr(n: int) -> Expr:
     return expr
 
 
-def d_sequence(n: int, precision_bits: int) -> BoundValue:
-    return BoundValue(evaluate(d_sequence_expr(n), precision_bits), BoundKind.D_SEQUENCE)
-
-
 def bessel_chain_expr(n: int) -> Expr:
     """sqrt(3/(pi*n)), the outer member of the adjacent-pair bound chain."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     return sqrt_expr(3 / (PI * n))
-
-
-def bessel_chain_bound(n: int, precision_bits: int) -> BoundValue:
-    return BoundValue(evaluate(bessel_chain_expr(n), precision_bits), BoundKind.BESSEL_CHAIN)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +109,7 @@ def _exp_bounds(lam: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
             return total, total + 2 * term
 
 
-def bessel_G(lam, tolerance=Fraction(1, 10**12)) -> BoundValue:
+def bessel_G(lam, tolerance=Fraction(1, 10**12)) -> Interval:
     """Enclosure of exp(-lam) * (I0(lam) + I1(lam)) with rigorous tails.
 
     I0 and I1 are evaluated by their ascending power series in exact rational
@@ -170,7 +124,7 @@ def bessel_G(lam, tolerance=Fraction(1, 10**12)) -> BoundValue:
     if tol <= 0:
         raise ParameterError("tolerance must be positive")
     if lam == 0:
-        return BoundValue(Interval.point(1), BoundKind.BESSEL_G)
+        return Interval.point(1)
     x = lam * lam / 4
     s0, tail0 = _series_bounds(x, tol, lambda m: m * m)
     s1, tail1 = _series_bounds(x, tol, lambda m: m * (m + 1))
@@ -179,10 +133,7 @@ def bessel_G(lam, tolerance=Fraction(1, 10**12)) -> BoundValue:
     g_lo = (s0 + s1) / e_hi
     g_hi = (s0 + s1 + tail0 + tail1) / e_lo
     bits = max(64, _tol_bits(tol) + 16)
-    return BoundValue(
-        Interval(_round_fraction(g_lo, bits, False), _round_fraction(g_hi, bits, True)),
-        BoundKind.BESSEL_G,
-    )
+    return Interval(_round_fraction(g_lo, bits, False), _round_fraction(g_hi, bits, True))
 
 
 def _tol_bits(tol: Fraction) -> int:

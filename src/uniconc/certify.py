@@ -13,7 +13,7 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import DomainError, ExpressionError, ParameterError
 
@@ -23,7 +23,6 @@ __all__ = [
     "Outcome",
     "Verdict",
     "pi_enclosure",
-    "sqrt_enclosure",
     "certify_less",
     "verdict_between",
     "Expr",
@@ -100,12 +99,16 @@ def _round_ratio(num: int, den: int, bits: int, up: bool) -> Dyadic:
     """Directed rounding of num/den (den > 0) to about ``bits`` significant bits.
 
     Rounding toward +inf when ``up`` else toward -inf.  Never rounds a nonzero
-    value to zero, since rounding acts on the mantissa only.
+    value to zero, since rounding acts on the mantissa only.  The exponent is
+    taken from num/den in lowest terms, as ``Fraction`` keeps them, so the
+    result depends on the value alone.
     """
     if num == 0:
         return Dyadic(0, 0)
     if den <= 0:
         raise ValueError("denominator must be positive")
+    g = gcd(num, den)
+    num, den = num // g, den // g
     neg = num < 0
     a = -num if neg else num
     # exponent such that the mantissa has roughly `bits` bits
@@ -127,6 +130,28 @@ def _round_ratio(num: int, den: int, bits: int, up: bool) -> Dyadic:
 
 def _round_fraction(fr: Fraction, bits: int, up: bool) -> Dyadic:
     return _round_ratio(fr.numerator, fr.denominator, bits, up)
+
+
+def _round_dyadic(man: int, exp: int, bits: int, up: bool) -> Dyadic:
+    """Directed rounding of ``man * 2**exp``, bit-identical to
+    ``_round_fraction`` of the same value.
+
+    The exponent rule of ``_round_ratio`` on the reduced fraction is
+    ``bit_length(|man|) + exp - 1 - bits``, which does not depend on how many
+    trailing zeros ``man`` carries, so ``man`` need not be normalized.
+    """
+    if man == 0:
+        return Dyadic(0, 0)
+    neg = man < 0
+    a = -man if neg else man
+    e = a.bit_length() + exp - 1 - bits
+    shift = e - exp
+    if shift <= 0:  # fits in the target precision: exact
+        return Dyadic.normalized(man, exp)
+    q = a >> shift
+    if a & ((1 << shift) - 1) and up != neg:
+        q += 1
+    return Dyadic.normalized(-q if neg else q, e)
 
 
 def _sqrt_dyadic(x: Dyadic, bits: int, up: bool) -> Dyadic:
@@ -199,9 +224,10 @@ class Interval:
     # result is always an enclosure of the exact set image.
 
     def add(self, other: "Interval", bits: int) -> "Interval":
-        lo = self.lo.as_fraction() + other.lo.as_fraction()
-        hi = self.hi.as_fraction() + other.hi.as_fraction()
-        return Interval(_round_fraction(lo, bits, False), _round_fraction(hi, bits, True))
+        return Interval(
+            _round_dyadic(*_dyadic_sum(self.lo, other.lo), bits, False),
+            _round_dyadic(*_dyadic_sum(self.hi, other.hi), bits, True),
+        )
 
     def neg(self) -> "Interval":
         return Interval(Dyadic(-self.hi.man, self.hi.exp), Dyadic(-self.lo.man, self.lo.exp))
@@ -210,24 +236,25 @@ class Interval:
         return self.add(other.neg(), bits)
 
     def mul(self, other: "Interval", bits: int) -> "Interval":
-        a, b = self.lo.as_fraction(), self.hi.as_fraction()
-        c, d = other.lo.as_fraction(), other.hi.as_fraction()
-        prods = (a * c, a * d, b * c, b * d)
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        # on a common exponent the extreme products are the extreme mantissas
+        e = min(a.exp, b.exp) + min(c.exp, d.exp)
+        mans = [(x.man * y.man) << (x.exp + y.exp - e) for x in (a, b) for y in (c, d)]
         return Interval(
-            _round_fraction(min(prods), bits, False),
-            _round_fraction(max(prods), bits, True),
+            _round_dyadic(min(mans), e, bits, False), _round_dyadic(max(mans), e, bits, True)
         )
 
     def div(self, other: "Interval", bits: int) -> "Interval":
         if other.contains_zero():
             raise ExpressionError("division by an interval containing zero")
-        a, b = self.lo.as_fraction(), self.hi.as_fraction()
-        c, d = other.lo.as_fraction(), other.hi.as_fraction()
-        quots = (a / c, a / d, b / c, b / d)
-        return Interval(
-            _round_fraction(min(quots), bits, False),
-            _round_fraction(max(quots), bits, True),
-        )
+        quots = [_dyadic_ratio(x, y) for x in (self.lo, self.hi) for y in (other.lo, other.hi)]
+        lo = hi = quots[0]
+        for q in quots[1:]:  # denominators are positive: compare by cross-multiplication
+            if q[0] * lo[1] < lo[0] * q[1]:
+                lo = q
+            if q[0] * hi[1] > hi[0] * q[1]:
+                hi = q
+        return Interval(_round_ratio(*lo, bits, False), _round_ratio(*hi, bits, True))
 
     def sqrt(self, bits: int) -> "Interval":
         if self.lo.man < 0:
@@ -235,9 +262,21 @@ class Interval:
         return Interval(_sqrt_dyadic(self.lo, bits, False), _sqrt_dyadic(self.hi, bits, True))
 
 
-def sqrt_enclosure(x: Interval, precision_bits: int = 53) -> Interval:
-    """Enclosure of {sqrt(t) : t in x}, endpoints by directed integer sqrt."""
-    return x.sqrt(precision_bits)
+def _dyadic_sum(x: Dyadic, y: Dyadic) -> tuple[int, int]:
+    """The exact sum of two dyadics as an unnormalized ``(man, exp)``."""
+    if x.exp >= y.exp:
+        return (x.man << (x.exp - y.exp)) + y.man, y.exp
+    return x.man + (y.man << (y.exp - x.exp)), x.exp
+
+
+def _dyadic_ratio(x: Dyadic, y: Dyadic) -> tuple[int, int]:
+    """``x / y`` (y nonzero) as ``(num, den)`` with ``den > 0``, unreduced."""
+    num, den = x.man, y.man
+    if x.exp >= y.exp:
+        num <<= x.exp - y.exp
+    else:
+        den <<= y.exp - x.exp
+    return (-num, -den) if den < 0 else (num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import comb
 
 from . import bounds
-from .certify import Interval, Outcome, Verdict, certify_less, evaluate, verdict_between
+from .certify import Dyadic, Expr, Interval, Outcome, Verdict, evaluate, verdict_between
 from .errors import ParameterError
 from .exactdist import (
     ExactDensity,
@@ -172,11 +173,16 @@ def decimal_string(fr: Fraction, sig: int = 30) -> str:
     Uses only integer arithmetic: identical inputs give identical strings on
     every platform.  Trailing zeros of the mantissa are stripped.
     """
-    if fr == 0:
+    return _decimal_digits(fr.numerator, fr.denominator, sig)
+
+
+def _decimal_digits(num: int, den: int, sig: int = 30) -> str:
+    """``decimal_string`` of ``num/den`` for integers with ``den > 0``."""
+    if num == 0:
         return "0"
-    sign = "-" if fr < 0 else ""
-    num, den = abs(fr.numerator), fr.denominator
-    # decimal exponent e with 10**e <= |fr| < 10**(e+1)
+    sign = "-" if num < 0 else ""
+    num = abs(num)
+    # decimal exponent e with 10**e <= num/den < 10**(e+1)
     e = len(str(num)) - len(str(den))
     while _ge_pow10(num, den, e + 1):
         e += 1
@@ -209,8 +215,14 @@ def _ge_pow10(num: int, den: int, e: int) -> bool:
     return num * 10 ** (-e) >= den
 
 
+def _dyadic_string(d: Dyadic) -> str:
+    if d.exp >= 0:
+        return _decimal_digits(d.man << d.exp, 1)
+    return _decimal_digits(d.man, 1 << -d.exp)
+
+
 def _interval_strings(iv: Interval) -> tuple[str, str]:
-    return decimal_string(iv.lo.as_fraction()), decimal_string(iv.hi.as_fraction())
+    return _dyadic_string(iv.lo), _dyadic_string(iv.hi)
 
 
 def _fraction_string(fr: Fraction) -> str:
@@ -280,33 +292,36 @@ class _Point:
         return power(self.params)
 
 
+def _certified_cell(p: _Point, check: str, expr: Expr, prec: int, expected: str) -> SweepCell:
+    """c(ell, n) < expr, decided against the one enclosure of expr at ``prec``
+    that the report also shows; ``certify_less`` would escalate to the same
+    cap and decide nothing more."""
+    bound = evaluate(expr, prec)
+    verdict = verdict_between(p.conc, bound, prec)
+    return _verdict_cell(p.ell, p.n, check, p.conc, bound, verdict, expected)
+
+
 def _cell_main(p: _Point, prec: int) -> SweepCell:
-    expr = bounds.main_bound_expr(p.ell, p.n)
-    verdict = certify_less(p.conc, expr, max_precision_bits=prec)
     expected = "reversed" if (p.n == 2 and p.ell >= 5) else "holds"
-    return _verdict_cell(p.ell, p.n, "main", p.conc, evaluate(expr, prec), verdict, expected)
+    return _certified_cell(p, "main", bounds.main_bound_expr(p.ell, p.n), prec, expected)
 
 
 def _cell_corollary(p: _Point, prec: int) -> SweepCell:
-    expr = bounds.corollary_bound_expr(p.ell, p.n)
-    verdict = certify_less(p.conc, expr, max_precision_bits=prec)
-    return _verdict_cell(p.ell, p.n, "corollary", p.conc, evaluate(expr, prec), verdict, "holds")
+    return _certified_cell(p, "corollary", bounds.corollary_bound_expr(p.ell, p.n), prec, "holds")
 
 
 def _cell_wallis(p: _Point, prec: int) -> SweepCell:
     # only run on the two-point lattice (see _CHECK_ELL_FILTER), where the
     # concentration is a central binomial probability; k is matched so that
     # c_{2,n} = C(2k,k)/4**k
-    expr = bounds.wallis_bound_expr((p.n + 1) // 2)
-    verdict = certify_less(p.conc, expr, max_precision_bits=prec)
-    return _verdict_cell(p.ell, p.n, "wallis", p.conc, evaluate(expr, prec), verdict, "holds")
+    return _certified_cell(p, "wallis", bounds.wallis_bound_expr((p.n + 1) // 2), prec, "holds")
 
 
 def _cell_bessel_chain(p: _Point, prec: int) -> SweepCell:
     # only run on the three-point lattice (see _CHECK_ELL_FILTER)
     n = p.n
     pair = pair_concentration(p.params)
-    middle = bounds.bessel_G(Fraction(2 * n, 3), _BESSEL_G_TOL).value
+    middle = bounds.bessel_G(Fraction(2 * n, 3), _BESSEL_G_TOL)
     outer = evaluate(bounds.bessel_chain_expr(n), prec)
     left = verdict_between(pair, middle, prec)
     right = verdict_between(middle, outer, prec)
@@ -328,13 +343,13 @@ def _cell_dsequence(p: _Point, prec: int) -> SweepCell:
     # the concentration rescaled by sqrt(pi*(ell**2-1)*n/6) stays below d_n;
     # stated equivalently as c < d_n * main_bound so the left side is rational
     expr = bounds.d_sequence_expr(p.n) * bounds.main_bound_expr(p.ell, p.n)
-    verdict = certify_less(p.conc, expr, max_precision_bits=prec)
-    return _verdict_cell(p.ell, p.n, "dsequence", p.conc, evaluate(expr, prec), verdict, "holds")
+    return _certified_cell(p, "dsequence", expr, prec, "holds")
 
 
 def _cell_bretagnolle(p: _Point, prec: int) -> SweepCell:
     c = p.conc
-    rhs = Fraction(2, p.ell) * concentration(LatticeParams(2, p.n))
+    # c(2, n) is the largest binomial probability C(n, n // 2) / 2**n
+    rhs = Fraction(2, p.ell) * Fraction(comb(p.n, p.n // 2), 2**p.n)
     margin = rhs - c  # non-strict comparison: equality holds at ell = 2
     rhs_str = decimal_string(rhs)
     margin_str = decimal_string(margin)

@@ -19,7 +19,7 @@ from uniconc.bounds import (
     bessel_G,
     bessel_chain_expr,
     corollary_bound_expr,
-    d_sequence,
+    d_sequence_expr,
     wallis_bound_expr,
 )
 from uniconc.certify import Outcome, certify_less, evaluate, verdict_between
@@ -134,12 +134,12 @@ def test_criterion_06_bessel_chain():
     tol = Fraction(1, 10**12)
     for n in range(1, 201):
         pair = pair_concentration(LatticeParams(3, n))
-        middle = bessel_G(Fraction(2 * n, 3), tol).value
+        middle = bessel_G(Fraction(2 * n, 3), tol)
         assert middle.width() <= tol
         outer = evaluate(bessel_chain_expr(n), PRECISION_BITS)
         assert verdict_between(pair, middle, PRECISION_BITS).outcome is Outcome.HOLDS, n
         assert verdict_between(middle, outer, PRECISION_BITS).outcome is Outcome.HOLDS, n
-    spot = bessel_G(Fraction(4, 3), tol).value
+    spot = bessel_G(Fraction(4, 3), tol)
     assert spot.contains(Fraction("0.612214668849917637458479695418"))
     assert verdict_between(Fraction(5, 9), spot, 128).outcome is Outcome.HOLDS
     _report("06", True, "adjacent-pair chain certified n 1..200; G(4/3) spot checked")
@@ -166,16 +166,16 @@ def test_criterion_07_fourier_oracle():
 
 def test_criterion_08_majorant_sequence():
     """d_2 > 1 and d_n < 1 certified; the rescaled peak stays below d_n."""
-    d2 = d_sequence(2, 64).value
+    d2 = evaluate(d_sequence_expr(2), 64)
     assert verdict_between(Fraction(1), d2, 64).outcome is Outcome.HOLDS
     for n in [1] + list(range(3, 10001)):
-        dn = d_sequence(n, 64).value
+        dn = evaluate(d_sequence_expr(n), 64)
         assert verdict_between(dn, Fraction(1), 64).outcome is Outcome.HOLDS, n
     worst_slack = -math.inf
     for ell in range(2, 11):
         for n in range(1, 201):
             ratio = clt_ratio(ell, n)
-            upper = float(d_sequence(n, 64).value.hi.as_fraction())
+            upper = float(evaluate(d_sequence_expr(n), 64).hi.as_fraction())
             worst_slack = max(worst_slack, ratio - upper)
             assert ratio <= upper + 1e-9, (ell, n)
     _report(

@@ -7,16 +7,12 @@ import mpmath
 import pytest
 
 from uniconc.bounds import (
-    BoundKind,
     bessel_G,
-    bessel_chain_bound,
-    corollary_bound,
+    bessel_chain_expr,
     corollary_bound_expr,
-    d_sequence,
     d_sequence_expr,
-    main_bound,
     main_bound_expr,
-    wallis_bound,
+    wallis_bound_expr,
 )
 from uniconc.certify import Outcome, evaluate, verdict_between
 from uniconc.errors import ParameterError
@@ -28,8 +24,7 @@ def frac_of_mpf(x) -> Fraction:
     return -value if sign else value
 
 
-def assert_encloses(bound, reference: float, width: float = 1e-15):
-    iv = bound.value
+def assert_encloses(iv, reference: float, width: float = 1e-15):
     assert float(iv.lo.as_fraction()) <= reference <= float(iv.hi.as_fraction()) or iv.contains(
         Fraction(reference)
     )
@@ -38,36 +33,35 @@ def assert_encloses(bound, reference: float, width: float = 1e-15):
 
 class TestMainBound:
     def test_value_2_4(self):
-        b = main_bound(2, 4, 128)
+        b = evaluate(main_bound_expr(2, 4), 128)
         assert_encloses(b, 0.3989422804014327)
-        assert b.kind is BoundKind.MAIN_BOUND
-        assert verdict_between(Fraction(3, 8), b.value, 128).outcome is Outcome.HOLDS
+        assert verdict_between(Fraction(3, 8), b, 128).outcome is Outcome.HOLDS
 
     def test_reversed_5_2(self):
-        b = main_bound(5, 2, 128)
+        b = evaluate(main_bound_expr(5, 2), 128)
         assert_encloses(b, 0.19947114020071635)
-        assert verdict_between(Fraction(1, 5), b.value, 128).outcome is Outcome.FAILS
+        assert verdict_between(Fraction(1, 5), b, 128).outcome is Outcome.FAILS
 
     def test_small_lattice_2_2(self):
-        b = main_bound(2, 2, 128)
+        b = evaluate(main_bound_expr(2, 2), 128)
         assert_encloses(b, 0.5641895835477563)
-        assert verdict_between(Fraction(1, 2), b.value, 128).outcome is Outcome.HOLDS
+        assert verdict_between(Fraction(1, 2), b, 128).outcome is Outcome.HOLDS
 
     def test_relative_width_contract(self):
         for bits in (64, 128, 256):
-            iv = main_bound(7, 13, bits).value
+            iv = evaluate(main_bound_expr(7, 13), bits)
             rel = iv.width() / iv.lo.as_fraction()
             assert rel <= Fraction(1, 2 ** (bits - 2))
 
     def test_rejects_point_mass(self):
         with pytest.raises(ParameterError):
-            main_bound(1, 3, 64)
+            evaluate(main_bound_expr(1, 3), 64)
 
     def test_monotone_in_both_arguments(self):
         # strict decrease in ell and in n, certified via disjoint enclosures
         prev_row = None
         for ell in range(2, 21):
-            values = [main_bound(ell, n, 96).value for n in range(1, 101)]
+            values = [evaluate(main_bound_expr(ell, n), 96) for n in range(1, 101)]
             for a, b in zip(values, values[1:]):
                 assert b.hi < a.lo
             if prev_row is not None:
@@ -78,9 +72,9 @@ class TestMainBound:
 
 class TestCorollaryBound:
     def test_values(self):
-        assert_encloses(corollary_bound(2, 1, 128), 0.7978845608028654)
-        assert_encloses(corollary_bound(2, 4, 128), 0.3989422804014327)
-        assert_encloses(corollary_bound(4, 1, 128), 0.3989422804014327)
+        assert_encloses(evaluate(corollary_bound_expr(2, 1), 128), 0.7978845608028654)
+        assert_encloses(evaluate(corollary_bound_expr(2, 4), 128), 0.3989422804014327)
+        assert_encloses(evaluate(corollary_bound_expr(4, 1), 128), 0.3989422804014327)
 
     def test_dominates_main_bound(self):
         for ell in range(3, 13):
@@ -100,40 +94,40 @@ class TestCorollaryBound:
 
 class TestWallisBound:
     def test_k1(self):
-        b = wallis_bound(1, 128)
+        b = evaluate(wallis_bound_expr(1), 128)
         assert_encloses(b, 0.5641895835477563)
-        assert verdict_between(Fraction(1, 2), b.value, 128).outcome is Outcome.HOLDS
+        assert verdict_between(Fraction(1, 2), b, 128).outcome is Outcome.HOLDS
 
     def test_k2(self):
-        b = wallis_bound(2, 128)
+        b = evaluate(wallis_bound_expr(2), 128)
         assert_encloses(b, 0.3989422804014327)
-        assert verdict_between(Fraction(6, 16), b.value, 128).outcome is Outcome.HOLDS
+        assert verdict_between(Fraction(6, 16), b, 128).outcome is Outcome.HOLDS
 
     def test_k100_exact_binomial(self):
         central = Fraction(comb(200, 100), 4**100)
-        b = wallis_bound(100, 128)
-        assert verdict_between(central, b.value, 128).outcome is Outcome.HOLDS
+        b = evaluate(wallis_bound_expr(100), 128)
+        assert verdict_between(central, b, 128).outcome is Outcome.HOLDS
 
     def test_rejects_zero(self):
         with pytest.raises(ParameterError):
-            wallis_bound(0, 64)
+            evaluate(wallis_bound_expr(0), 64)
 
 
 class TestDSequence:
     def test_first_term_exact_rational(self):
-        b = d_sequence(1, 128)
-        assert b.value.contains(Fraction(157, 160))
-        assert float(b.value.width()) < 1e-30
+        b = evaluate(d_sequence_expr(1), 128)
+        assert b.contains(Fraction(157, 160))
+        assert float(b.width()) < 1e-30
 
     def test_second_term_exceeds_one(self):
-        b = d_sequence(2, 128)
+        b = evaluate(d_sequence_expr(2), 128)
         assert_encloses(b, 1.2464876345948128, width=1e-12)
-        assert verdict_between(Fraction(1), b.value, 128).outcome is Outcome.HOLDS
+        assert verdict_between(Fraction(1), b, 128).outcome is Outcome.HOLDS
 
     def test_fourth_term_below_one(self):
-        b = d_sequence(4, 128)
+        b = evaluate(d_sequence_expr(4), 128)
         assert_encloses(b, 0.9947593862162344, width=1e-12)
-        assert verdict_between(b.value, Fraction(1), 128).outcome is Outcome.HOLDS
+        assert verdict_between(b, Fraction(1), 128).outcome is Outcome.HOLDS
 
     def test_odd_terms_have_no_root_three_part(self):
         expr = d_sequence_expr(7)
@@ -146,26 +140,26 @@ class TestDSequence:
 class TestBesselG:
     def test_at_zero(self):
         b = bessel_G(0)
-        assert b.value.lo == b.value.hi
-        assert b.value.contains(Fraction(1))
+        assert b.lo == b.hi
+        assert b.contains(Fraction(1))
 
     def test_reference_value(self):
         with mpmath.workprec(200):
             lam = mpmath.mpf(4) / 3
             ref = frac_of_mpf(mpmath.e ** (-lam) * (mpmath.besseli(0, lam) + mpmath.besseli(1, lam)))
         b = bessel_G(Fraction(4, 3), Fraction(1, 10**12))
-        assert b.value.contains(ref)
-        assert b.value.width() <= Fraction(1, 10**12)
+        assert b.contains(ref)
+        assert b.width() <= Fraction(1, 10**12)
         assert abs(float(ref) - 0.6122146688499176) < 1e-15
 
     def test_large_argument_chain(self):
         g = bessel_G(Fraction(200, 3), Fraction(1, 10**12))
-        outer = bessel_chain_bound(100, 128)
-        assert verdict_between(g.value, outer.value, 128).outcome is Outcome.HOLDS
+        outer = evaluate(bessel_chain_expr(100), 128)
+        assert verdict_between(g, outer, 128).outcome is Outcome.HOLDS
 
     def test_tolerance_scales(self):
-        loose = bessel_G(Fraction(10), Fraction(1, 10**6)).value.width()
-        tight = bessel_G(Fraction(10), Fraction(1, 10**14)).value.width()
+        loose = bessel_G(Fraction(10), Fraction(1, 10**6)).width()
+        tight = bessel_G(Fraction(10), Fraction(1, 10**14)).width()
         assert tight < loose <= Fraction(1, 10**6)
 
     def test_rejects_negative(self):
@@ -175,9 +169,9 @@ class TestBesselG:
 
 class TestBesselChainBound:
     def test_values(self):
-        assert_encloses(bessel_chain_bound(1, 128), 0.9772050238058398)
-        assert_encloses(bessel_chain_bound(3, 128), 0.5641895835477563)
-        b2 = bessel_chain_bound(2, 128)
+        assert_encloses(evaluate(bessel_chain_expr(1), 128), 0.9772050238058398)
+        assert_encloses(evaluate(bessel_chain_expr(3), 128), 0.5641895835477563)
+        b2 = evaluate(bessel_chain_expr(2), 128)
         assert_encloses(b2, 0.690988298942671)
         g = bessel_G(Fraction(4, 3), Fraction(1, 10**12))
-        assert verdict_between(g.value, b2.value, 128).outcome is Outcome.HOLDS
+        assert verdict_between(g, b2, 128).outcome is Outcome.HOLDS

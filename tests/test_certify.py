@@ -1,10 +1,14 @@
 """Interval endpoints, enclosure soundness, and verdict semantics."""
 
+import operator
 import random
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from uniconc.certify import (
     PI,
@@ -15,9 +19,9 @@ from uniconc.certify import (
     certify_less,
     evaluate,
     pi_enclosure,
-    sqrt_enclosure,
     sqrt_expr,
     verdict_between,
+    _round_fraction,
     _round_ratio,
 )
 from uniconc.errors import DomainError, ExpressionError, ParameterError
@@ -118,6 +122,72 @@ class TestIntervalOps:
             assert iv.contains(expr_exact)
 
 
+def _endpoints(lo: Dyadic, hi: Dyadic) -> Interval:
+    return Interval(min(lo, hi), max(lo, hi))
+
+
+dyadics = st.builds(Dyadic.normalized, st.integers(-(2**160), 2**160), st.integers(-200, 200))
+nonneg_dyadics = st.builds(Dyadic.normalized, st.integers(0, 2**160), st.integers(-200, 200))
+intervals = st.builds(_endpoints, dyadics, dyadics)
+nonneg_intervals = st.builds(_endpoints, nonneg_dyadics, nonneg_dyadics)
+precisions = st.integers(min_value=1, max_value=256)
+
+OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
+
+
+def sqrt_on_grid(x: Fraction, bits: int, up: bool) -> Fraction:
+    """sqrt(x) for a dyadic x >= 0, rounded down or up to a multiple of 2**k.
+
+    x = m * 2**e with m odd; k is chosen as ``Interval.sqrt`` chooses it:
+    x / 4**k is an integer of at least 2*bits + 2 bits (and no more shift
+    than that needs), so the rounded root carries at least bits + 1 bits.
+    """
+    if x == 0:
+        return Fraction(0)
+    num, den = x.numerator, x.denominator
+    e = -(den.bit_length() - 1)
+    while num % 2 == 0:
+        num, e = num // 2, e + 1
+    shift = max(0, 2 * bits + 2 - num.bit_length())
+    shift += (e - shift) % 2
+    k = (e - shift) // 2
+    scaled = x / Fraction(2) ** (2 * k)
+    assert scaled.denominator == 1
+    root = isqrt(scaled.numerator)
+    if up and root * root != scaled.numerator:
+        root += 1
+    return root * Fraction(2) ** k
+
+
+class TestIntervalProperties:
+    """Endpoints of add/sub/mul/div equal, bit for bit, the exact rational
+    image rounded outward by ``_round_fraction``; those of sqrt equal the
+    directed root on its grid.  Both enclose the exact image."""
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    @settings(max_examples=100, deadline=None)
+    @given(x=intervals, y=intervals, bits=precisions)
+    def test_ops_match_fraction_oracle(self, name, x, y, bits):
+        if name == "div":
+            assume(not y.contains_zero())
+        corners = [
+            OPS[name](a.as_fraction(), b.as_fraction()) for a in (x.lo, x.hi) for b in (y.lo, y.hi)
+        ]
+        lo, hi = min(corners), max(corners)
+        got = getattr(x, name)(y, bits)
+        assert got == Interval(_round_fraction(lo, bits, False), _round_fraction(hi, bits, True))
+        assert got.lo.as_fraction() <= lo and hi <= got.hi.as_fraction()
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=nonneg_intervals, bits=precisions)
+    def test_sqrt_matches_grid_oracle(self, x, bits):
+        lo, hi = x.lo.as_fraction(), x.hi.as_fraction()
+        got = x.sqrt(bits)
+        assert got.lo.as_fraction() == sqrt_on_grid(lo, bits, False)
+        assert got.hi.as_fraction() == sqrt_on_grid(hi, bits, True)
+        assert got.lo.as_fraction() ** 2 <= lo and hi <= got.hi.as_fraction() ** 2
+
+
 class TestPi:
     def test_contains_reference(self):
         for bits in (16, 53, 256, 1024):
@@ -143,26 +213,26 @@ class TestPi:
 
 class TestSqrt:
     def test_perfect_square(self):
-        iv = sqrt_enclosure(Interval.point(4), 53)
+        iv = Interval.point(4).sqrt(53)
         assert iv.lo == iv.hi == Dyadic(1, 1)
 
     def test_sqrt_two(self):
-        iv = sqrt_enclosure(Interval.point(2), 53)
+        iv = Interval.point(2).sqrt(53)
         with mpmath.workprec(200):
             ref = frac_of_mpf(mpmath.sqrt(2))
         assert iv.contains(ref)
         assert iv.width() <= Fraction(1, 2**50)
 
     def test_zero(self):
-        iv = sqrt_enclosure(Interval.point(0), 53)
+        iv = Interval.point(0).sqrt(53)
         assert iv.lo.man == iv.hi.man == 0
 
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
-            sqrt_enclosure(Interval(Dyadic(-1, 0), Dyadic(1, 0)), 53)
+            Interval(Dyadic(-1, 0), Dyadic(1, 0)).sqrt(53)
 
     def test_square_contains_input(self):
-        iv = sqrt_enclosure(Interval.point(2), 64)
+        iv = Interval.point(2).sqrt(64)
         assert iv.mul(iv, 64).contains(Fraction(2))
 
 

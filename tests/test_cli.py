@@ -1,13 +1,19 @@
 """CLI surface and sweep-report contracts."""
 
 import json
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import uniconc.certify as certify
 import uniconc.cli as cli
 import uniconc.sweep as sweep
+from uniconc.certify import Dyadic
 from uniconc.cli import main
 from uniconc.errors import ParameterError
 from uniconc.sweep import (
@@ -44,6 +50,31 @@ class TestDecimalString:
 
     def test_round_half_up_carry(self):
         assert decimal_string(Fraction(999999999999, 10**12), sig=6) == "1"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-(2**200), 2**200), st.integers(-300, 300))
+    def test_dyadic_rendering_matches_fraction(self, man, exp):
+        # unnormalized mantissas too: the rendering depends on the value only
+        d = Dyadic(man, exp)
+        assert sweep._dyadic_string(d) == decimal_string(d.as_fraction())
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40)),
+        st.integers(1, 40),
+    )
+    def test_round_trip_within_half_unit(self, fr, sig):
+        text = decimal_string(fr, sig)
+        if fr == 0:
+            assert text == "0"
+            return
+        e = 0  # 10**e <= |fr| < 10**(e+1)
+        while Fraction(10) ** e > abs(fr):
+            e -= 1
+        while Fraction(10) ** (e + 1) <= abs(fr):
+            e += 1
+        half_unit = Fraction(5) * Fraction(10) ** (e - sig)
+        assert abs(Fraction(Decimal(text)) - fr) <= half_unit
 
 
 class TestPmfCommand:
@@ -285,6 +316,32 @@ class TestSweepEngine:
         calls.update(power=0)
         run_sweep(SweepConfig((2, 4), (1, 3), ("main", "corollary", "dsequence"), 128))
         assert calls == {"power": 0, "concentration": 9}
+        calls.update(concentration=0)
+        # c(2, n) for bretagnolle is a closed form, not a second concentration
+        run_sweep(SweepConfig((2, 4), (1, 3), ("main", "bretagnolle"), 128))
+        assert calls == {"power": 0, "concentration": 9}
+
+    def test_one_bound_evaluation_per_certified_cell(self, monkeypatch):
+        calls = {"evaluate": 0, "certify_less": 0}
+        real_evaluate = sweep.evaluate
+
+        def evaluate(expr, precision_bits):
+            calls["evaluate"] += 1
+            return real_evaluate(expr, precision_bits)
+
+        def certify_less(*args, **kwargs):
+            calls["certify_less"] += 1
+            raise AssertionError("the sweep decides from its one evaluation")
+
+        monkeypatch.setattr(sweep, "evaluate", evaluate)
+        monkeypatch.setattr(certify, "certify_less", certify_less)
+        # also at a binding the sweep module itself might hold
+        monkeypatch.setattr(sweep, "certify_less", certify_less, raising=False)
+        for check in ("main", "corollary", "wallis", "dsequence"):
+            calls.update(evaluate=0)
+            report = run_sweep(SweepConfig((2, 4), (1, 3), (check,), 128))
+            assert report.cells and calls["evaluate"] == len(report.cells), check
+        assert calls["certify_less"] == 0
 
     def test_summary_clean_logic(self):
         assert SweepSummary(5, 5, 0, 0, 0).clean
@@ -338,7 +395,10 @@ class TestGoldenReport:
     """The criterion-12 grid (ell 2:8, n 1:20, all checks, 256 bits) against
     reports committed under tests/golden before the exact layer and the sweep
     were restructured; any change to a verdict, a rendered number or the
-    summary shows up as a byte difference."""
+    summary shows up as a byte difference.  The margins of main, corollary,
+    dsequence and wallis were regenerated once, when the sweep began to
+    enclose them at the requested precision instead of at 64 bits; every
+    certified column is checked against an mpmath reference."""
 
     GOLDEN = Path(__file__).parent / "golden"
 
@@ -351,3 +411,47 @@ class TestGoldenReport:
 
     def test_json_bytes(self, report):
         assert report_to_json_bytes(report) == (self.GOLDEN / "criterion12.json").read_bytes()
+
+    def test_certified_columns_enclose_mpmath_reference(self, report):
+        checked = 0
+        for cell in report.cells:
+            if cell.check not in ("main", "corollary", "dsequence", "wallis"):
+                continue
+            bound = reference_bound(cell.check, cell.ell, cell.n)
+            margin = bound - Fraction(cell.exact_fraction)
+            assert rendered(cell.bound_lo, -1) <= bound <= rendered(cell.bound_hi, 1), cell
+            assert rendered(cell.margin_lo, -1) <= margin <= rendered(cell.margin_hi, 1), cell
+            checked += 1
+        assert checked == 440
+
+
+def frac_of_mpf(x) -> Fraction:
+    sign, man, exp, _ = mpmath.mpf(x)._mpf_
+    value = Fraction(man, 1) * Fraction(2) ** exp
+    return -value if sign else value
+
+
+def reference_bound(check: str, ell: int, n: int) -> Fraction:
+    """The bound of a certified check at 500 bits, from mpmath alone."""
+    with mpmath.workprec(500):
+        pi = mpmath.pi
+        main = mpmath.sqrt(6 / (pi * (ell * ell - 1) * n))
+        if check == "main":
+            value = main
+        elif check == "corollary":
+            value = 2 * mpmath.sqrt(2 / pi) / (ell * mpmath.sqrt(n))
+        elif check == "wallis":
+            value = 1 / mpmath.sqrt(pi * ((n + 1) // 2))
+        else:
+            d = 1 - mpmath.mpf(3) / (20 * n) + mpmath.mpf(21) / (160 * n * n)
+            if n % 2 == 0:
+                d += 1 / (mpmath.sqrt(3) * (n - 1) * mpmath.mpf(2) ** (n - 1))
+            value = d * main
+        return frac_of_mpf(value)
+
+
+def rendered(text: str, direction: int) -> Fraction:
+    """A rendered endpoint moved outward by half a unit in its 30th digit,
+    the most its decimal rounding can have moved it inward."""
+    d = Decimal(text)
+    return Fraction(d) + direction * Fraction(5) * Fraction(10) ** (d.adjusted() - 30)
