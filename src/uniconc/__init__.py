@@ -4,17 +4,14 @@ probabilities, and certified verdicts for the sharp concentration bounds."""
 from .asymptotics import CltReport, clt_ratio, clt_report, local_clt_sup_dev
 from .bounds import bessel_G
 from .certify import (
-    PI,
-    Const,
     Dyadic,
-    Expr,
     Interval,
     Outcome,
+    RootBound,
     Verdict,
     certify_less,
     evaluate,
     pi_enclosure,
-    sqrt_expr,
     verdict_between,
 )
 from .errors import ConvergenceError, DomainError, ExpressionError, ParameterError

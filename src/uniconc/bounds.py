@@ -2,8 +2,9 @@
 
 Every irrational value is returned as an interval, never a bare float: the
 boundary cases of the sharp bound are decided by margins of a few 1e-4 and
-must not depend on rounding luck.  The closed forms are expression builders,
-evaluated and compared by the certified engine (``certify.evaluate``,
+must not depend on rounding luck.  Each closed form is a
+``certify.RootBound`` ``(a + b/sqrt(3)) * sqrt(r / pi**k)``, enclosed and
+compared by the certified engine (``certify.evaluate``,
 ``certify.certify_less``); ``G`` is enclosed here by rational series.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .certify import PI, Const, Expr, Interval, _round_fraction, sqrt_expr
+from .certify import Interval, RootBound, _round_fraction
 from .errors import ParameterError
 
 __all__ = [
@@ -24,53 +25,54 @@ __all__ = [
 ]
 
 
-def _check_ell_n(ell: int, n: int) -> None:
-    if ell < 2:
-        raise ParameterError(f"ell must be >= 2 for bound formulas, got {ell}")
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+def _check_int(name: str, value: int, least: int) -> None:
+    # bool is an int subclass; True would pass as 1 without this check
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def main_bound_expr(ell: int, n: int) -> Expr:
+def _pi_root(r: Fraction) -> RootBound:
+    """sqrt(r / pi)."""
+    return RootBound(Fraction(1), Fraction(0), r, 1)
+
+
+def main_bound_expr(ell: int, n: int) -> RootBound:
     """sqrt(6 / (pi * (ell**2 - 1) * n)), the sharp peak-probability bound."""
-    _check_ell_n(ell, n)
-    return sqrt_expr(6 / (PI * ((ell * ell - 1) * n)))
+    _check_int("ell", ell, 2)
+    _check_int("n", n, 1)
+    return _pi_root(Fraction(6, (ell * ell - 1) * n))
 
 
-def corollary_bound_expr(ell: int, n: int) -> Expr:
+def corollary_bound_expr(ell: int, n: int) -> RootBound:
     """2*sqrt(2/pi) / (ell*sqrt(n)), written as a single square root."""
-    _check_ell_n(ell, n)
-    return sqrt_expr(8 / (PI * (ell * ell * n)))
+    _check_int("ell", ell, 2)
+    _check_int("n", n, 1)
+    return _pi_root(Fraction(8, ell * ell * n))
 
 
-def wallis_bound_expr(k: int) -> Expr:
+def wallis_bound_expr(k: int) -> RootBound:
     """1/sqrt(pi*k), the bound on the central binomial probability."""
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    return sqrt_expr(1 / (PI * k))
+    _check_int("k", k, 1)
+    return _pi_root(Fraction(1, k))
 
 
-def d_sequence_expr(n: int) -> Expr:
+def d_sequence_expr(n: int) -> RootBound:
     """The majorant 1 - 3/(20n) + 21/(160n**2), plus 1/(sqrt(3)*(n-1)*2**(n-1))
     when n is even.
 
     The even-n indicator is exact integer parity.  d_1 = 157/160 and the
     sequence stays below one except at n = 2.
     """
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    _check_int("n", n, 1)
     rational = 1 - Fraction(3, 20 * n) + Fraction(21, 160 * n * n)
-    expr: Expr = Const(rational)
-    if n % 2 == 0:
-        expr = expr + Const(Fraction(1, (n - 1) * 2 ** (n - 1))) / sqrt_expr(3)
-    return expr
+    correction = Fraction(1, (n - 1) * 2 ** (n - 1)) if n % 2 == 0 else Fraction(0)
+    return RootBound(rational, correction, Fraction(1), 0)
 
 
-def bessel_chain_expr(n: int) -> Expr:
+def bessel_chain_expr(n: int) -> RootBound:
     """sqrt(3/(pi*n)), the outer member of the adjacent-pair bound chain."""
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    return sqrt_expr(3 / (PI * n))
+    _check_int("n", n, 1)
+    return _pi_root(Fraction(3, n))
 
 
 # ---------------------------------------------------------------------------

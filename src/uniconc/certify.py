@@ -25,16 +25,18 @@ __all__ = [
     "pi_enclosure",
     "certify_less",
     "verdict_between",
-    "Expr",
-    "Const",
-    "PI",
-    "sqrt_expr",
+    "RootBound",
     "evaluate",
 ]
 
 # Guard bits added on top of the caller-requested precision inside the
 # evaluator, so that a chain of rounded operations still meets the target.
 _GUARD_BITS = 32
+
+# the pi enclosure alone takes about half a second at 2**14 bits and about
+# eight times as long per doubling, so a typo such as 10**9 would hang
+# rather than fail
+_MAX_PRECISION_BITS = 16384
 
 
 # ---------------------------------------------------------------------------
@@ -334,110 +336,53 @@ def pi_enclosure(precision_bits: int) -> Interval:
 
 
 # ---------------------------------------------------------------------------
-# bound expressions
+# closed-form bounds
 # ---------------------------------------------------------------------------
 
-class Expr:
-    """A bound expression over rational constants, pi, sqrt and +, -, *, /.
+@dataclass(frozen=True)
+class RootBound:
+    """The closed form ``(a + b/sqrt(3)) * sqrt(r / pi**k)``.
 
-    Expressions are built with ordinary operators; integers and Fractions are
-    promoted to constants.  ``evaluate`` turns an expression into an interval
-    enclosure at a requested precision.
+    ``a``, ``b`` and ``r`` are rationals and ``k`` is 0 or 1.  Every bound the
+    sweep certifies has this shape; ``evaluate`` encloses it.
     """
 
-    def __add__(self, other):
-        return _BinOp("+", self, _wrap(other))
-
-    def __radd__(self, other):
-        return _BinOp("+", _wrap(other), self)
-
-    def __sub__(self, other):
-        return _BinOp("-", self, _wrap(other))
-
-    def __rsub__(self, other):
-        return _BinOp("-", _wrap(other), self)
-
-    def __mul__(self, other):
-        return _BinOp("*", self, _wrap(other))
-
-    def __rmul__(self, other):
-        return _BinOp("*", _wrap(other), self)
-
-    def __truediv__(self, other):
-        return _BinOp("/", self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return _BinOp("/", _wrap(other), self)
-
-
-@dataclass(frozen=True)
-class Const(Expr):
-    value: Fraction
+    a: Fraction
+    b: Fraction
+    r: Fraction
+    k: int
 
     def __post_init__(self):
-        if not isinstance(self.value, Fraction):
-            raise ExpressionError(f"constant must be rational, got {self.value!r}")
+        for name in ("a", "b", "r"):
+            value = getattr(self, name)
+            if not isinstance(value, Fraction):
+                raise ExpressionError(f"{name} must be a Fraction, got {value!r}")
+        if type(self.k) is not int or self.k not in (0, 1):
+            raise ExpressionError(f"k must be 0 or 1, got {self.k!r}")
+        if self.a <= 0 or self.b < 0 or self.r <= 0:
+            raise DomainError(f"need a > 0, b >= 0 and r > 0, got {self}")
 
 
-@dataclass(frozen=True)
-class _Pi(Expr):
-    pass
+def _check_precision(precision_bits: int) -> None:
+    if not 64 <= precision_bits <= _MAX_PRECISION_BITS:
+        raise ParameterError(
+            f"precision_bits must be in 64..{_MAX_PRECISION_BITS}, got {precision_bits}"
+        )
 
 
-@dataclass(frozen=True)
-class _Sqrt(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True)
-class _BinOp(Expr):
-    op: str
-    left: Expr
-    right: Expr
-
-
-PI = _Pi()
-
-
-def _wrap(x) -> Expr:
-    if isinstance(x, Expr):
-        return x
-    if isinstance(x, int):
-        return Const(Fraction(x))
-    if isinstance(x, Fraction):
-        return Const(x)
-    raise ExpressionError(f"cannot use {x!r} in a bound expression")
-
-
-def sqrt_expr(x) -> Expr:
-    return _Sqrt(_wrap(x))
-
-
-def evaluate(expr: Expr, precision_bits: int) -> Interval:
-    """Enclosure of a bound expression at the given target precision."""
+def evaluate(bound: RootBound, precision_bits: int) -> Interval:
+    """Enclosure of a closed-form bound at the given target precision."""
+    _check_precision(precision_bits)
     bits = precision_bits + _GUARD_BITS
-    return _eval(expr, bits)
-
-
-def _eval(expr: Expr, bits: int) -> Interval:
-    if isinstance(expr, Const):
-        return Interval.from_fraction(expr.value, bits)
-    if isinstance(expr, _Pi):
-        return pi_enclosure(bits)
-    if isinstance(expr, _Sqrt):
-        return _eval(expr.arg, bits).sqrt(bits)
-    if isinstance(expr, _BinOp):
-        left = _eval(expr.left, bits)
-        right = _eval(expr.right, bits)
-        if expr.op == "+":
-            return left.add(right, bits)
-        if expr.op == "-":
-            return left.sub(right, bits)
-        if expr.op == "*":
-            return left.mul(right, bits)
-        if expr.op == "/":
-            return left.div(right, bits)
-    raise ExpressionError(f"not a bound expression: {expr!r}")
+    den = Interval.point(bound.r.denominator)
+    if bound.k:
+        den = den.mul(pi_enclosure(bits), bits)
+    root = Interval.point(bound.r.numerator).div(den, bits)
+    factor = Interval.from_fraction(bound.a, bits)
+    if bound.b:
+        over_root3 = Interval.from_fraction(bound.b, bits).div(Interval.point(3).sqrt(bits), bits)
+        factor = factor.add(over_root3, bits)
+    return factor.mul(root.sqrt(bits), bits)
 
 
 # ---------------------------------------------------------------------------
@@ -490,33 +435,22 @@ def verdict_between(lhs, rhs, precision_bits: int) -> Verdict:
 
 def certify_less(
     lhs: Fraction,
-    rhs_expr: Expr,
+    rhs_expr: RootBound,
     max_precision_bits: int = 4096,
 ) -> Verdict:
     """Certified verdict for lhs < rhs_expr, escalating precision as needed.
 
     Evaluation starts at 64 bits and doubles until the margin excludes zero
-    or ``max_precision_bits`` is reached; only then is the comparison
-    reported Inconclusive.  Division by an interval still straddling zero at
-    low precision triggers escalation rather than failure.
+    or ``max_precision_bits`` (at most 16384) is reached; only then is the
+    comparison reported Inconclusive.
     """
-    if not isinstance(rhs_expr, Expr):
-        raise ExpressionError(f"rhs must be a bound expression, got {rhs_expr!r}")
+    if not isinstance(rhs_expr, RootBound):
+        raise ExpressionError(f"rhs must be a RootBound, got {rhs_expr!r}")
+    _check_precision(max_precision_bits)
     lhs = Fraction(lhs)
-    precision = min(64, max_precision_bits)
-    last: Verdict | None = None
+    precision = 64
     while True:
-        try:
-            enclosure = evaluate(rhs_expr, precision)
-        except ExpressionError:
-            if precision >= max_precision_bits:
-                raise
-            enclosure = None
-        if enclosure is not None:
-            last = verdict_between(lhs, enclosure, precision)
-            if last.outcome is not Outcome.INCONCLUSIVE:
-                return last
-        if precision >= max_precision_bits:
-            assert last is not None
-            return last
+        verdict = verdict_between(lhs, evaluate(rhs_expr, precision), precision)
+        if verdict.outcome is not Outcome.INCONCLUSIVE or precision >= max_precision_bits:
+            return verdict
         precision = min(precision * 2, max_precision_bits)

@@ -10,7 +10,7 @@ class DomainError(ValueError):
 
 
 class ExpressionError(ValueError):
-    """A bound expression is malformed or cannot be enclosed."""
+    """A bound is malformed, or an interval divisor contains zero."""
 
 
 class ConvergenceError(RuntimeError):

@@ -14,13 +14,22 @@ import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import comb
 
 from . import bounds
-from .certify import Dyadic, Expr, Interval, Outcome, Verdict, evaluate, verdict_between
+from .certify import (
+    Dyadic,
+    Interval,
+    Outcome,
+    RootBound,
+    Verdict,
+    _check_precision,
+    evaluate,
+    verdict_between,
+)
 from .errors import ParameterError
 from .exactdist import (
     ExactDensity,
@@ -74,11 +83,6 @@ CSV_COLUMNS = (
 
 _BESSEL_G_TOL = Fraction(1, 10**12)
 
-# the pi enclosure alone takes about half a second at 2**14 bits and about
-# eight times as long per doubling, so a typo such as 10**9 would hang
-# rather than fail
-_MAX_PRECISION_BITS = 16384
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -99,10 +103,7 @@ class SweepConfig:
         bad = set(self.checks) - set(CHECKS)
         if bad or not self.checks:
             raise ParameterError(f"unknown checks: {sorted(bad)}; valid: {CHECKS}")
-        if not 64 <= self.precision_bits <= _MAX_PRECISION_BITS:
-            raise ParameterError(
-                f"precision_bits must be in 64..{_MAX_PRECISION_BITS}, got {self.precision_bits}"
-            )
+        _check_precision(self.precision_bits)
         if self.output_format not in ("csv", "json"):
             raise ParameterError(f"format must be csv or json, got {self.output_format}")
         if self.parallelism < 1:
@@ -292,7 +293,7 @@ class _Point:
         return power(self.params)
 
 
-def _certified_cell(p: _Point, check: str, expr: Expr, prec: int, expected: str) -> SweepCell:
+def _certified_cell(p: _Point, check: str, expr: RootBound, prec: int, expected: str) -> SweepCell:
     """c(ell, n) < expr, decided against the one enclosure of expr at ``prec``
     that the report also shows; ``certify_less`` would escalate to the same
     cap and decide nothing more."""
@@ -341,8 +342,10 @@ def _cell_bessel_chain(p: _Point, prec: int) -> SweepCell:
 
 def _cell_dsequence(p: _Point, prec: int) -> SweepCell:
     # the concentration rescaled by sqrt(pi*(ell**2-1)*n/6) stays below d_n;
-    # stated equivalently as c < d_n * main_bound so the left side is rational
-    expr = bounds.d_sequence_expr(p.n) * bounds.main_bound_expr(p.ell, p.n)
+    # stated equivalently as c < d_n * main_bound so the left side is rational;
+    # d_n has r = 1 and k = 0, so the product takes main's radicand
+    main = bounds.main_bound_expr(p.ell, p.n)
+    expr = replace(bounds.d_sequence_expr(p.n), r=main.r, k=main.k)
     return _certified_cell(p, "dsequence", expr, prec, "holds")
 
 

@@ -31,6 +31,30 @@ def assert_encloses(iv, reference: float, width: float = 1e-15):
     assert float(iv.width()) <= width
 
 
+class TestBuilderValidation:
+    @pytest.mark.parametrize(
+        "builder, args",
+        [
+            (main_bound_expr, (2, True)),
+            (main_bound_expr, (True, 2)),
+            (main_bound_expr, (2, 2.0)),
+            (corollary_bound_expr, (2, True)),
+            (corollary_bound_expr, (2.0, 2)),
+            (wallis_bound_expr, (True,)),
+            (wallis_bound_expr, (1.0,)),
+            (bessel_chain_expr, (True,)),
+            (bessel_chain_expr, (Fraction(2),)),
+            (d_sequence_expr, (True,)),
+            (d_sequence_expr, (2.0,)),
+            (d_sequence_expr, (0,)),
+        ],
+        ids=lambda v: getattr(v, "__name__", repr(v)),
+    )
+    def test_rejects_bools_and_non_integers(self, builder, args):
+        with pytest.raises(ParameterError):
+            builder(*args)
+
+
 class TestMainBound:
     def test_value_2_4(self):
         b = evaluate(main_bound_expr(2, 4), 128)

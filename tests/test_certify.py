@@ -3,23 +3,23 @@
 import operator
 import random
 from fractions import Fraction
-from math import isqrt
+from math import floor, isqrt
 
 import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from uniconc import certify
+from uniconc.bounds import d_sequence_expr, main_bound_expr, wallis_bound_expr
 from uniconc.certify import (
-    PI,
-    Const,
     Dyadic,
     Interval,
     Outcome,
+    RootBound,
     certify_less,
     evaluate,
     pi_enclosure,
-    sqrt_expr,
     verdict_between,
     _round_fraction,
     _round_ratio,
@@ -34,6 +34,13 @@ def frac_of_mpf(x) -> Fraction:
 
 
 PI_REF = None
+
+ZERO, ONE = Fraction(0), Fraction(1)
+
+
+def root_over_pi(r: Fraction) -> RootBound:
+    """sqrt(r / pi)."""
+    return RootBound(ONE, ZERO, r, 1)
 
 
 def setup_module():
@@ -236,25 +243,103 @@ class TestSqrt:
         assert iv.mul(iv, 64).contains(Fraction(2))
 
 
+class TestRootBound:
+    @pytest.mark.parametrize(
+        "fields, error",
+        [
+            ((1, ZERO, ONE, 0), ExpressionError),
+            ((ONE, 0.0, ONE, 0), ExpressionError),
+            ((ONE, ZERO, "2", 0), ExpressionError),
+            ((ONE, ZERO, ONE, 2), ExpressionError),
+            ((ONE, ZERO, ONE, True), ExpressionError),
+            ((ONE, ZERO, ONE, 1.0), ExpressionError),
+            ((ZERO, ONE, ONE, 0), DomainError),
+            ((Fraction(-1), ZERO, ONE, 0), DomainError),
+            ((ONE, Fraction(-1), ONE, 0), DomainError),
+            ((ONE, ZERO, ZERO, 1), DomainError),
+        ],
+    )
+    def test_rejects_invalid_fields(self, fields, error):
+        with pytest.raises(error):
+            RootBound(*fields)
+
+
+class TestPrecisionCap:
+    @pytest.fixture
+    def no_pi(self, monkeypatch):
+        def refuse(bits):
+            raise AssertionError(f"pi_enclosure({bits}) started")
+
+        monkeypatch.setattr(certify, "pi_enclosure", refuse)
+
+    @pytest.mark.parametrize("bits", [63, certify._MAX_PRECISION_BITS + 1, 10**6])
+    def test_evaluate_rejects_before_pi(self, no_pi, bits):
+        with pytest.raises(ParameterError):
+            evaluate(main_bound_expr(2, 2), bits)
+
+    @pytest.mark.parametrize("bits", [32, certify._MAX_PRECISION_BITS + 1, 10**6])
+    def test_certify_less_rejects_cap_before_pi(self, no_pi, bits):
+        with pytest.raises(ParameterError):
+            certify_less(Fraction(1, 2), main_bound_expr(2, 2), bits)
+
+    def test_cap_itself_accepted(self, no_pi):
+        # d_n involves no pi, so the top precision is cheap to reach
+        iv = evaluate(d_sequence_expr(1), certify._MAX_PRECISION_BITS)
+        assert iv.contains(Fraction(157, 160))
+
+
+def positive_fractions(hi: int):
+    return st.builds(Fraction, st.integers(1, hi), st.integers(1, hi))
+
+
+def mp_root_bound(a: Fraction, b: Fraction, r: Fraction, k: int):
+    """(a + b/sqrt(3)) * sqrt(r / pi**k) in mpmath at the working precision."""
+    def mpf(x: Fraction):
+        return mpmath.mpf(x.numerator) / x.denominator
+
+    return (mpf(a) + mpf(b) / mpmath.sqrt(3)) * mpmath.sqrt(mpf(r) / mpmath.pi**k)
+
+
+class TestEvaluateProperties:
+    """The four shapes the builders produce: sqrt(r/pi) (main, corollary,
+    Wallis, Bessel chain), d_n for odd and even n, and d_n times the main
+    bound."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        a=positive_fractions(10**6),
+        b=st.one_of(st.just(ZERO), positive_fractions(10**6)),
+        r=st.one_of(st.just(ONE), positive_fractions(10**6)),
+        k=st.sampled_from([0, 1]),
+        bits=st.integers(64, 512),
+    )
+    def test_encloses_reference_with_relative_width(self, a, b, r, k, bits):
+        iv = evaluate(RootBound(a, b, r, k), bits)
+        with mpmath.workprec(bits + 256):
+            ref = frac_of_mpf(mp_root_bound(a, b, r, k))
+        assert iv.contains(ref)
+        assert iv.width() / ref <= Fraction(1, 2 ** (bits - 2))
+
+
 class TestCertifyLess:
     def test_reversed_boundary_case(self):
-        v = certify_less(Fraction(1, 5), sqrt_expr(6 / (PI * 48)))
+        v = certify_less(Fraction(1, 5), root_over_pi(Fraction(6, 48)))
         assert v.outcome is Outcome.FAILS
         margin = float(v.margin.lo)
         assert -6e-4 < margin < -5e-4
 
     def test_holds_case(self):
-        v = certify_less(Fraction(3, 8), sqrt_expr(6 / (PI * 12)))
+        v = certify_less(Fraction(3, 8), root_over_pi(Fraction(6, 12)))
         assert v.outcome is Outcome.HOLDS
 
     def test_exception_free_cell(self):
-        v = certify_less(Fraction(1, 4), sqrt_expr(6 / (PI * 30)))
+        v = certify_less(Fraction(1, 4), root_over_pi(Fraction(6, 30)))
         assert v.outcome is Outcome.HOLDS
 
     def test_margin_sign_matches_outcome(self):
         for lhs, expr in [
-            (Fraction(1, 5), sqrt_expr(6 / (PI * 48))),
-            (Fraction(3, 8), sqrt_expr(6 / (PI * 12))),
+            (Fraction(1, 5), root_over_pi(Fraction(6, 48))),
+            (Fraction(3, 8), root_over_pi(Fraction(6, 12))),
         ]:
             v = certify_less(lhs, expr)
             if v.outcome is Outcome.HOLDS:
@@ -265,20 +350,25 @@ class TestCertifyLess:
                 assert v.margin.contains_zero()
 
     def test_escalation_decides_tiny_margin(self):
-        rhs = Const(Fraction(1, 3)) + Const(Fraction(1, 2**100))
-        v = certify_less(Fraction(1, 3), rhs)
+        # 1/sqrt(pi) rounded down to a multiple of 2**-100: the margin is
+        # below 2**-100, too small for the first 64-bit evaluation
+        with mpmath.workprec(400):
+            ref = frac_of_mpf(1 / mpmath.sqrt(mpmath.pi))
+        lhs = Fraction(floor(ref * 2**100), 2**100)
+        v = certify_less(lhs, wallis_bound_expr(1))
         assert v.outcome is Outcome.HOLDS
         assert v.precision_bits_used > 64
 
     def test_equality_is_inconclusive_at_cap(self):
-        v = certify_less(Fraction(1, 3), Const(Fraction(1, 3)), max_precision_bits=512)
+        # d_1 = 157/160 is rational, so no precision separates it from itself
+        v = certify_less(Fraction(157, 160), d_sequence_expr(1), 512)
         assert v.outcome is Outcome.INCONCLUSIVE
         assert v.precision_bits_used == 512
 
     def test_stability_under_escalation(self):
         # decisions may sharpen but never flip between precisions
         for ell, n in [(2, 1), (5, 2), (3, 7), (9, 2), (4, 50)]:
-            expr = sqrt_expr(6 / (PI * ((ell * ell - 1) * n)))
+            expr = main_bound_expr(ell, n)
             from uniconc.exactdist import LatticeParams, concentration
 
             c = concentration(LatticeParams(ell, n))
@@ -293,23 +383,19 @@ class TestCertifyLess:
 
     def test_const_rejects_float(self):
         with pytest.raises(ExpressionError):
-            Const(0.5)
-
-    def test_zero_divisor_raises_at_cap(self):
-        with pytest.raises(ExpressionError):
-            certify_less(Fraction(0), Const(Fraction(1)) / (PI - PI), max_precision_bits=256)
+            RootBound(0.5, ZERO, ONE, 0)
 
     def test_sqrt_of_negative_expression(self):
         with pytest.raises(DomainError):
-            evaluate(sqrt_expr(Const(Fraction(-1))), 64)
+            RootBound(ONE, ZERO, Fraction(-1), 0)
 
 
 class TestVerdictBetween:
     def test_fraction_vs_interval(self):
-        iv = evaluate(sqrt_expr(2), 128)
+        iv = evaluate(RootBound(ONE, ZERO, Fraction(2), 0), 128)
         assert verdict_between(Fraction(7, 5), iv, 128).outcome is Outcome.HOLDS
         assert verdict_between(Fraction(3, 2), iv, 128).outcome is Outcome.FAILS
 
     def test_overlapping_intervals_inconclusive(self):
-        iv = evaluate(sqrt_expr(2), 64)
+        iv = evaluate(RootBound(ONE, ZERO, Fraction(2), 0), 64)
         assert verdict_between(iv, iv, 64).outcome is Outcome.INCONCLUSIVE
