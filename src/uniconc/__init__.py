@@ -1,7 +1,7 @@
 """Exact convolution powers of discrete uniform distributions, their maximal
 probabilities, and certified verdicts for the sharp concentration bounds."""
 
-from .asymptotics import CltReport, clt_ratio, clt_report, local_clt_sup_dev
+from .asymptotics import clt_ratio, local_clt_sup_dev
 from .bounds import bessel_G
 from .certify import (
     Dyadic,

@@ -7,32 +7,21 @@ extended-precision float only at the end, so no pmf value ever underflows
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 
-from .errors import ParameterError
+from .errors import check_int
 from .exactdist import LatticeParams, concentration, power
 
-__all__ = ["CltReport", "clt_ratio", "local_clt_sup_dev", "clt_report"]
+__all__ = ["clt_ratio", "local_clt_sup_dev"]
 
 _PREC_BITS = 128
 
 
-@dataclass(frozen=True)
-class CltReport:
-    ell: int
-    n: int
-    ratio: float
-    sup_deviation: float
-
-
 def _check(ell: int, n: int) -> None:
-    if ell < 2:
-        raise ParameterError(f"ell must be >= 2 (ell = 1 has zero variance), got {ell}")
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    check_int("ell", ell, 2)  # ell = 1 has zero variance
+    check_int("n", n, 1)
 
 
 def _mpf(fr: Fraction) -> mpmath.mpf:
@@ -81,7 +70,3 @@ def local_clt_sup_dev(ell: int, n: int) -> float:
             if dev > sup:
                 sup = dev
         return float(sup)
-
-
-def clt_report(ell: int, n: int) -> CltReport:
-    return CltReport(ell, n, clt_ratio(ell, n), local_clt_sup_dev(ell, n))

@@ -5,15 +5,16 @@ boundary cases of the sharp bound are decided by margins of a few 1e-4 and
 must not depend on rounding luck.  Each closed form is a
 ``certify.RootBound`` ``(a + b/sqrt(3)) * sqrt(r / pi**k)``, enclosed and
 compared by the certified engine (``certify.evaluate``,
-``certify.certify_less``); ``G`` is enclosed here by rational series.
+``certify.certify_less``); ``G`` is enclosed here, at the same precision, by
+directed integer series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .certify import Interval, RootBound, _round_fraction
-from .errors import ParameterError
+from .certify import _GUARD_BITS, Interval, RootBound, _check_precision, _round_ratio
+from .errors import ParameterError, check_int
 
 __all__ = [
     "main_bound_expr",
@@ -25,12 +26,6 @@ __all__ = [
 ]
 
 
-def _check_int(name: str, value: int, least: int) -> None:
-    # bool is an int subclass; True would pass as 1 without this check
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 def _pi_root(r: Fraction) -> RootBound:
     """sqrt(r / pi)."""
     return RootBound(Fraction(1), Fraction(0), r, 1)
@@ -38,21 +33,21 @@ def _pi_root(r: Fraction) -> RootBound:
 
 def main_bound_expr(ell: int, n: int) -> RootBound:
     """sqrt(6 / (pi * (ell**2 - 1) * n)), the sharp peak-probability bound."""
-    _check_int("ell", ell, 2)
-    _check_int("n", n, 1)
+    check_int("ell", ell, 2)
+    check_int("n", n, 1)
     return _pi_root(Fraction(6, (ell * ell - 1) * n))
 
 
 def corollary_bound_expr(ell: int, n: int) -> RootBound:
     """2*sqrt(2/pi) / (ell*sqrt(n)), written as a single square root."""
-    _check_int("ell", ell, 2)
-    _check_int("n", n, 1)
+    check_int("ell", ell, 2)
+    check_int("n", n, 1)
     return _pi_root(Fraction(8, ell * ell * n))
 
 
 def wallis_bound_expr(k: int) -> RootBound:
     """1/sqrt(pi*k), the bound on the central binomial probability."""
-    _check_int("k", k, 1)
+    check_int("k", k, 1)
     return _pi_root(Fraction(1, k))
 
 
@@ -63,7 +58,7 @@ def d_sequence_expr(n: int) -> RootBound:
     The even-n indicator is exact integer parity.  d_1 = 157/160 and the
     sequence stays below one except at n = 2.
     """
-    _check_int("n", n, 1)
+    check_int("n", n, 1)
     rational = 1 - Fraction(3, 20 * n) + Fraction(21, 160 * n * n)
     correction = Fraction(1, (n - 1) * 2 ** (n - 1)) if n % 2 == 0 else Fraction(0)
     return RootBound(rational, correction, Fraction(1), 0)
@@ -71,7 +66,7 @@ def d_sequence_expr(n: int) -> RootBound:
 
 def bessel_chain_expr(n: int) -> RootBound:
     """sqrt(3/(pi*n)), the outer member of the adjacent-pair bound chain."""
-    _check_int("n", n, 1)
+    check_int("n", n, 1)
     return _pi_root(Fraction(3, n))
 
 
@@ -79,69 +74,55 @@ def bessel_chain_expr(n: int) -> RootBound:
 # G(lambda) = exp(-lambda) * (I0(lambda) + I1(lambda))
 # ---------------------------------------------------------------------------
 
-def _series_bounds(x: Fraction, tol: Fraction, step_den) -> tuple[Fraction, Fraction]:
-    """Partial sum and a rigorous tail bound for sum_m term_m with
-    term_{m+1} = term_m * x / step_den(m+1), term_0 = 1, x >= 0.
+def _div(a: int, b: int, up: bool) -> int:
+    """a / b (b > 0) rounded up or down to an integer."""
+    return -(-a // b) if up else a // b
 
-    Stops once the upcoming term ratio is below 1/2 and the latest term is
-    below tol/8 of the running sum; the remaining tail is then geometric and
-    bounded by twice the latest term.
-    """
-    total = Fraction(1)
-    term = Fraction(1)
-    m = 0
+
+def _series(num: int, den, first: int, up: bool) -> int:
+    """sum_m t_m with t_0 = ``first`` and t_m = t_{m-1} * num / den(m), for
+    num >= 0 and den(m) > 0 increasing in m; every term is rounded in the
+    direction ``up``.  Summation stops once t_m <= 1 and every later ratio is
+    below 1/2; the tail is then below t_m, and the upper chain adds 2*t_m."""
+    total = term = first
+    m = 1
     while True:
+        term = _div(term * num, den(m), up)
+        total += term
         m += 1
-        term = term * x / step_den(m)
-        total += term
-        if x < Fraction(step_den(m + 1), 2) and term * 8 < tol * total:
-            return total, 2 * term
+        if term <= 1 and 2 * num < den(m):
+            return total + 2 * term if up else total
 
 
-def _exp_bounds(lam: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
-    """Lower partial sum and upper bound for exp(lam), lam >= 0."""
-    total = Fraction(1)
-    term = Fraction(1)
-    k = 0
-    while True:
-        k += 1
-        term = term * lam / k
-        total += term
-        if 2 * lam < k + 1 and term * 8 < tol * total:
-            return total, total + 2 * term
+def bessel_G(lam, precision_bits: int) -> Interval:
+    """Enclosure of G(lam) = exp(-lam) * (I0(lam) + I1(lam)) for rational
+    lam >= 0 at ``precision_bits`` (64..16384), as ``certify.evaluate``.
 
-
-def bessel_G(lam, tolerance=Fraction(1, 10**12)) -> Interval:
-    """Enclosure of exp(-lam) * (I0(lam) + I1(lam)) with rigorous tails.
-
-    I0 and I1 are evaluated by their ascending power series in exact rational
-    arithmetic; the truncation tails and the exp tail are bounded by
-    geometric series, so the returned interval is a true enclosure with
-    relative width at most about ``tolerance``.
+    With x = lam**2/4, I0 = sum x**m / m!**2, I1 = (lam/2) sum x**m /
+    (m! (m+1)!) and exp(lam) = sum lam**k / k!.  ``_series`` sums each in
+    fixed point at scale 2**w, w = precision_bits + _GUARD_BITS, once as a
+    lower and once as an upper chain.  Rigour: the lower chain floors every
+    term and drops the tail, and floors only lower; the upper chain ceils
+    every term and adds 2*t_m for the tail, and ceilings only raise; once
+    every later ratio is below 1/2 the tail is geometric and below t_m.
+    Width: the partial sums of I0 + I1 and of exp are at least 1 (2**w
+    scaled), so each unit of rounding error is a relative error of at most
+    2**-w.  G is the lower I0 + I1 over the upper exp and the upper over the
+    lower, each quotient rounded outward by ``_round_ratio``.
     """
     lam = Fraction(lam)
-    tol = Fraction(tolerance)
+    _check_precision(precision_bits)
     if lam < 0:
         raise ParameterError(f"lambda must be >= 0, got {lam}")
-    if tol <= 0:
-        raise ParameterError("tolerance must be positive")
     if lam == 0:
         return Interval.point(1)
-    x = lam * lam / 4
-    s0, tail0 = _series_bounds(x, tol, lambda m: m * m)
-    s1, tail1 = _series_bounds(x, tol, lambda m: m * (m + 1))
-    s1, tail1 = lam / 2 * s1, lam / 2 * tail1
-    e_lo, e_hi = _exp_bounds(lam, tol)
-    g_lo = (s0 + s1) / e_hi
-    g_hi = (s0 + s1 + tail0 + tail1) / e_lo
-    bits = max(64, _tol_bits(tol) + 16)
-    return Interval(_round_fraction(g_lo, bits, False), _round_fraction(g_hi, bits, True))
-
-
-def _tol_bits(tol: Fraction) -> int:
-    bits = 0
-    v = Fraction(1)
-    while v > tol:
-        v /= 2
-        bits += 1
-    return bits
+    p, q = lam.numerator, lam.denominator
+    bits = precision_bits + _GUARD_BITS
+    one = 1 << bits
+    ends = []
+    for up in (False, True):
+        i0 = _series(p * p, lambda m: 4 * q * q * m * m, one, up)
+        i1 = _series(p * p, lambda m: 4 * q * q * m * (m + 1), _div(p * one, 2 * q, up), up)
+        e = _series(p, lambda m: q * m, one, not up)
+        ends.append(_round_ratio(i0 + i1, e, bits, up))
+    return Interval(*ends)

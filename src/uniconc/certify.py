@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .errors import DomainError, ExpressionError, ParameterError
+from .errors import DomainError, ExpressionError, check_int
 
 __all__ = [
     "Dyadic",
@@ -318,8 +318,7 @@ def pi_enclosure(precision_bits: int) -> Interval:
     Machin's identity pi = 16*arctan(1/5) - 4*arctan(1/239), each arctangent
     bounded by its alternating series.  Results are cached per precision.
     """
-    if precision_bits < 8:
-        raise ParameterError("precision_bits must be >= 8")
+    check_int("precision_bits", precision_bits, 8)
     with _pi_lock:
         cached = _pi_cache.get(precision_bits)
     if cached is not None:
@@ -364,10 +363,7 @@ class RootBound:
 
 
 def _check_precision(precision_bits: int) -> None:
-    if not 64 <= precision_bits <= _MAX_PRECISION_BITS:
-        raise ParameterError(
-            f"precision_bits must be in 64..{_MAX_PRECISION_BITS}, got {precision_bits}"
-        )
+    check_int("precision_bits", precision_bits, 64, _MAX_PRECISION_BITS)
 
 
 def evaluate(bound: RootBound, precision_bits: int) -> Interval:

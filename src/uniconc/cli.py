@@ -266,6 +266,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses exit code 2 for usage errors
         return int(exc.code or 0)
+    # exact values may run to any number of digits; argv keeps the guard
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is not None:
+        limit = sys.get_int_max_str_digits()
+        set_limit(0)
     try:
         return _COMMANDS[args.command](args)
     except ParameterError as exc:
@@ -274,6 +279,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        if set_limit is not None:
+            set_limit(limit)
 
 
 if __name__ == "__main__":

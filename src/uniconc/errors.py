@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer-argument
+check."""
 
 
 class ParameterError(ValueError):
@@ -22,3 +23,12 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message, best):
         super().__init__(message)
         self.best = best
+
+
+def check_int(name: str, value: int, least: int, most: int | None = None) -> None:
+    """Raise ParameterError unless ``value`` is an int in ``least..most``.
+    The type is compared exactly: bool is an int subclass, and True would
+    otherwise pass as 1."""
+    if type(value) is not int or value < least or (most is not None and value > most):
+        span = f">= {least}" if most is None else f"in {least}..{most}"
+        raise ParameterError(f"{name} must be an integer {span}, got {value!r}")

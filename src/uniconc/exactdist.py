@@ -14,7 +14,7 @@ from itertools import accumulate
 from math import comb
 from operator import sub
 
-from .errors import ParameterError
+from .errors import ParameterError, check_int
 
 __all__ = [
     "LatticeParams",
@@ -40,10 +40,8 @@ class LatticeParams:
     n: int
 
     def __post_init__(self):
-        # bool is an int subclass; True would pass as 1 without this check
-        for name, value in (("ell", self.ell), ("n", self.n)):
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
+        check_int("ell", self.ell, 1)
+        check_int("n", self.n, 1)
 
     @property
     def support_size(self) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ParameterError
+from .errors import ConvergenceError, DomainError, ParameterError, check_int
 
 __all__ = [
     "SplitParams",
@@ -53,10 +53,8 @@ class SplitParams:
     alpha: int
 
     def __post_init__(self):
-        if self.ell < 2:
-            raise ParameterError(f"ell must be >= 2, got {self.ell}")
-        if self.n < 1:
-            raise ParameterError(f"n must be >= 1, got {self.n}")
+        check_int("ell", self.ell, 2)
+        check_int("n", self.n, 1)
         expected = self.n * (self.ell - 1) % 2
         if self.alpha != expected:
             raise ParameterError(
@@ -93,8 +91,7 @@ def charfn_kernel(ell: int, t: float) -> float:
 
     The removable singularity at t = 0 evaluates to 1.
     """
-    if ell < 1:
-        raise ParameterError(f"ell must be >= 1, got {ell}")
+    check_int("ell", ell, 1)
     if not 0.0 <= t <= math.pi / 2:
         raise DomainError(f"t must lie in [0, pi/2], got {t}")
     return float(_kernel_array(ell, np.array([t]))[0])
@@ -139,10 +136,8 @@ def _inversion_panels(ell: int, n: int, freq: float, a: float, b: float) -> int:
 def fourier_pmf(ell: int, n: int, k: int, tol: float = 1e-10) -> QuadratureResult:
     """Numeric pmf value at k by Fourier inversion of the characteristic
     function, error_estimate at most tol on success."""
-    if ell < 2:
-        raise ParameterError(f"ell must be >= 2, got {ell}")
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    check_int("ell", ell, 2)
+    check_int("n", n, 1)
     if tol <= 0:
         raise ParameterError("tol must be positive")
     freq = n * (ell - 1) - 2 * k
@@ -184,20 +179,16 @@ def split_integrals(
 def i1_majorant(ell: int, n: int) -> float:
     """Proved upper bound for the rescaled inner integral:
     1 - 3/(20n) + 21/(160n**2)."""
-    if ell < 2:
-        raise ParameterError(f"ell must be >= 2, got {ell}")
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    check_int("ell", ell, 2)
+    check_int("n", n, 1)
     return 1.0 - 3.0 / (20.0 * n) + 21.0 / (160.0 * n * n)
 
 
 def i2_majorant(ell: int, n: int) -> float:
     """Proved upper bound for the outer integral: zero for odd n, and
     sqrt(2/(pi*n)) / (ell*(n-1)*2**(n-1)) for even n."""
-    if ell < 2:
-        raise ParameterError(f"ell must be >= 2, got {ell}")
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    check_int("ell", ell, 2)
+    check_int("n", n, 1)
     if n % 2 == 1:
         return 0.0
     return math.sqrt(2.0 / (math.pi * n)) / (ell * (n - 1) * 2.0 ** (n - 1))

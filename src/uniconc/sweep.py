@@ -30,7 +30,7 @@ from .certify import (
     evaluate,
     verdict_between,
 )
-from .errors import ParameterError
+from .errors import ParameterError, check_int
 from .exactdist import (
     ExactDensity,
     LatticeParams,
@@ -51,7 +51,6 @@ __all__ = [
     "run_sweep",
     "report_to_csv_bytes",
     "report_to_json_bytes",
-    "cells_from_csv_bytes",
     "decimal_string",
     "CSV_COLUMNS",
 ]
@@ -81,9 +80,6 @@ CSV_COLUMNS = (
     "expected",
 )
 
-_BESSEL_G_TOL = Fraction(1, 10**12)
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     ell_range: tuple[int, int]
@@ -94,20 +90,16 @@ class SweepConfig:
     parallelism: int = 1
 
     def __post_init__(self):
-        lo, hi = self.ell_range
-        if lo < 2 or hi < lo:
-            raise ParameterError(f"ell range must satisfy 2 <= lo <= hi, got {lo}:{hi}")
-        lo, hi = self.n_range
-        if lo < 1 or hi < lo:
-            raise ParameterError(f"n range must satisfy 1 <= lo <= hi, got {lo}:{hi}")
+        for name, (lo, hi), least in (("ell", self.ell_range, 2), ("n", self.n_range, 1)):
+            check_int(f"{name} range start", lo, least)
+            check_int(f"{name} range end", hi, lo)
         bad = set(self.checks) - set(CHECKS)
         if bad or not self.checks:
             raise ParameterError(f"unknown checks: {sorted(bad)}; valid: {CHECKS}")
         _check_precision(self.precision_bits)
         if self.output_format not in ("csv", "json"):
             raise ParameterError(f"format must be csv or json, got {self.output_format}")
-        if self.parallelism < 1:
-            raise ParameterError("parallelism must be >= 1")
+        check_int("parallelism", self.parallelism, 1)
 
     def serializable(self) -> dict:
         # parallelism is an execution detail and is deliberately left out so
@@ -322,7 +314,7 @@ def _cell_bessel_chain(p: _Point, prec: int) -> SweepCell:
     # only run on the three-point lattice (see _CHECK_ELL_FILTER)
     n = p.n
     pair = pair_concentration(p.params)
-    middle = bounds.bessel_G(Fraction(2 * n, 3), _BESSEL_G_TOL)
+    middle = bounds.bessel_G(Fraction(2 * n, 3), prec)
     outer = evaluate(bounds.bessel_chain_expr(n), prec)
     left = verdict_between(pair, middle, prec)
     right = verdict_between(middle, outer, prec)
@@ -487,15 +479,3 @@ def report_to_json_bytes(report: SweepReport) -> bytes:
         "summary": asdict(report.summary),
     }
     return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
-
-
-def cells_from_csv_bytes(data: bytes) -> list[dict]:
-    """Parse a CSV report back into row dictionaries (string values)."""
-    text = data.decode("utf-8")
-    reader = csv.DictReader(io.StringIO(text))
-    rows = []
-    for row in reader:
-        row["ell"] = int(row["ell"])
-        row["n"] = int(row["n"])
-        rows.append(row)
-    return rows

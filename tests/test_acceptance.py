@@ -131,16 +131,18 @@ def test_criterion_05_wallis():
 
 def test_criterion_06_bessel_chain():
     """pair < G(2n/3) < sqrt(3/(pi*n)) certified for n 1..200."""
-    tol = Fraction(1, 10**12)
     for n in range(1, 201):
         pair = pair_concentration(LatticeParams(3, n))
-        middle = bessel_G(Fraction(2 * n, 3), tol)
-        assert middle.width() <= tol
+        middle = bessel_G(Fraction(2 * n, 3), PRECISION_BITS)
+        assert middle.width() <= middle.lo.as_fraction() / 2 ** (PRECISION_BITS - 2)
         outer = evaluate(bessel_chain_expr(n), PRECISION_BITS)
         assert verdict_between(pair, middle, PRECISION_BITS).outcome is Outcome.HOLDS, n
         assert verdict_between(middle, outer, PRECISION_BITS).outcome is Outcome.HOLDS, n
-    spot = bessel_G(Fraction(4, 3), tol)
-    assert spot.contains(Fraction("0.612214668849917637458479695418"))
+    spot = bessel_G(Fraction(4, 3), PRECISION_BITS)
+    # the whole enclosure rounds to the 30-digit reference value
+    spot_ref, half_unit = Fraction("0.612214668849917637458479695418"), Fraction(5, 10**31)
+    assert spot_ref - half_unit <= spot.lo.as_fraction()
+    assert spot.hi.as_fraction() <= spot_ref + half_unit
     assert verdict_between(Fraction(5, 9), spot, 128).outcome is Outcome.HOLDS
     _report("06", True, "adjacent-pair chain certified n 1..200; G(4/3) spot checked")
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from uniconc.asymptotics import CltReport, clt_ratio, clt_report, local_clt_sup_dev
+from uniconc.asymptotics import clt_ratio, local_clt_sup_dev
 from uniconc.errors import ParameterError
 from uniconc.exactdist import LatticeParams, concentration
 
@@ -50,9 +50,3 @@ class TestSupDeviation:
         with pytest.raises(ParameterError):
             local_clt_sup_dev(1, 5)
 
-
-def test_report_bundles_both_statistics():
-    report = clt_report(3, 4)
-    assert isinstance(report, CltReport)
-    assert report.ratio == pytest.approx(clt_ratio(3, 4), rel=1e-15)
-    assert report.sup_deviation == pytest.approx(local_clt_sup_dev(3, 4), rel=1e-15)

@@ -5,8 +5,11 @@ from math import comb
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uniconc.bounds import (
+    _series,
     bessel_G,
     bessel_chain_expr,
     corollary_bound_expr,
@@ -163,7 +166,7 @@ class TestDSequence:
 
 class TestBesselG:
     def test_at_zero(self):
-        b = bessel_G(0)
+        b = bessel_G(0, 64)
         assert b.lo == b.hi
         assert b.contains(Fraction(1))
 
@@ -171,24 +174,63 @@ class TestBesselG:
         with mpmath.workprec(200):
             lam = mpmath.mpf(4) / 3
             ref = frac_of_mpf(mpmath.e ** (-lam) * (mpmath.besseli(0, lam) + mpmath.besseli(1, lam)))
-        b = bessel_G(Fraction(4, 3), Fraction(1, 10**12))
+        b = bessel_G(Fraction(4, 3), 128)
         assert b.contains(ref)
         assert b.width() <= Fraction(1, 10**12)
         assert abs(float(ref) - 0.6122146688499176) < 1e-15
 
     def test_large_argument_chain(self):
-        g = bessel_G(Fraction(200, 3), Fraction(1, 10**12))
+        g = bessel_G(Fraction(200, 3), 128)
         outer = evaluate(bessel_chain_expr(100), 128)
         assert verdict_between(g, outer, 128).outcome is Outcome.HOLDS
 
-    def test_tolerance_scales(self):
-        loose = bessel_G(Fraction(10), Fraction(1, 10**6)).width()
-        tight = bessel_G(Fraction(10), Fraction(1, 10**14)).width()
+    def test_width_shrinks_from_128_to_512_bits(self):
+        loose = bessel_G(Fraction(10), 128).width()
+        tight = bessel_G(Fraction(10), 512).width()
         assert tight < loose <= Fraction(1, 10**6)
+        assert tight <= Fraction(1, 2**510)
 
     def test_rejects_negative(self):
         with pytest.raises(ParameterError):
-            bessel_G(Fraction(-1, 2))
+            bessel_G(Fraction(-1, 2), 64)
+
+    @pytest.mark.parametrize("bits", [63, 16385, 256.0, True])
+    def test_rejects_precision_outside_the_model(self, bits):
+        with pytest.raises(ParameterError):
+            bessel_G(Fraction(4, 3), bits)
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(0, 6000), q=st.integers(1, 3), bits=st.integers(64, 512))
+    def test_encloses_reference_with_relative_width(self, p, q, bits):
+        g = bessel_G(Fraction(p, q), bits)
+        # the reference is built from mpmath alone, 256 bits finer
+        with mpmath.workprec(bits + 256):
+            lam = mpmath.mpf(p) / q
+            ref = frac_of_mpf(mpmath.exp(-lam) * (mpmath.besseli(0, lam) + mpmath.besseli(1, lam)))
+        assert g.contains(ref)
+        assert g.width() / ref <= Fraction(1, 2 ** (bits - 2))
+
+
+class TestSeriesChains:
+    """The directed fixed-point chains that bessel_G sums its series with."""
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 40])
+    def test_exact_geometric_tail(self, k):
+        # the terms 4**(k-m) are exact, so only the tail separates the two
+        # chains from the sum 4**(k+1)/3
+        lower = _series(1, lambda m: 4, 4**k, False)
+        upper = _series(1, lambda m: 4, 4**k, True)
+        assert lower < Fraction(4 ** (k + 1), 3) < upper
+        assert upper - lower == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(1, 200), q=st.integers(1, 3), w=st.integers(0, 64))
+    def test_exp_chains_bracket_the_scaled_sum(self, p, q, w):
+        lower = _series(p, lambda m: q * m, 2**w, False)
+        upper = _series(p, lambda m: q * m, 2**w, True)
+        with mpmath.workprec(w + 400):
+            ref = frac_of_mpf(mpmath.exp(mpmath.mpf(p) / q) * 2**w)
+        assert lower <= ref <= upper
 
 
 class TestBesselChainBound:
@@ -197,5 +239,5 @@ class TestBesselChainBound:
         assert_encloses(evaluate(bessel_chain_expr(3), 128), 0.5641895835477563)
         b2 = evaluate(bessel_chain_expr(2), 128)
         assert_encloses(b2, 0.690988298942671)
-        g = bessel_G(Fraction(4, 3), Fraction(1, 10**12))
+        g = bessel_G(Fraction(4, 3), 128)
         assert verdict_between(g, b2, 128).outcome is Outcome.HOLDS

@@ -272,12 +272,12 @@ class TestPrecisionCap:
 
         monkeypatch.setattr(certify, "pi_enclosure", refuse)
 
-    @pytest.mark.parametrize("bits", [63, certify._MAX_PRECISION_BITS + 1, 10**6])
+    @pytest.mark.parametrize("bits", [63, certify._MAX_PRECISION_BITS + 1, 10**6, 256.0, True])
     def test_evaluate_rejects_before_pi(self, no_pi, bits):
         with pytest.raises(ParameterError):
             evaluate(main_bound_expr(2, 2), bits)
 
-    @pytest.mark.parametrize("bits", [32, certify._MAX_PRECISION_BITS + 1, 10**6])
+    @pytest.mark.parametrize("bits", [32, certify._MAX_PRECISION_BITS + 1, 10**6, 256.0, True])
     def test_certify_less_rejects_cap_before_pi(self, no_pi, bits):
         with pytest.raises(ParameterError):
             certify_less(Fraction(1, 2), main_bound_expr(2, 2), bits)

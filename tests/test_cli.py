@@ -1,6 +1,10 @@
 """CLI surface and sweep-report contracts."""
 
+import csv
+import io
 import json
+import sys
+from contextlib import contextmanager
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -23,12 +27,38 @@ from uniconc.sweep import (
     SweepConfig,
     SweepReport,
     SweepSummary,
-    cells_from_csv_bytes,
     decimal_string,
     report_to_csv_bytes,
     report_to_json_bytes,
     run_sweep,
 )
+
+
+def csv_rows(data: bytes) -> list[dict]:
+    """A CSV report's rows as string dictionaries, with ell and n as ints."""
+    rows = list(csv.DictReader(io.StringIO(data.decode("utf-8"))))
+    for row in rows:
+        row["ell"], row["n"] = int(row["ell"]), int(row["n"])
+    return rows
+
+
+# the interpreter's int-to-str digit limit; None where it has none
+int_str_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+
+
+@contextmanager
+def no_int_str_limit():
+    """Lift the int-to-str digit limit, where the interpreter has one."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        yield
+        return
+    limit = int_str_limit()
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(limit)
 
 
 class TestDecimalString:
@@ -110,6 +140,18 @@ class TestPmfCommand:
         assert main(["pmf", "--ell", "0", "--n", "2"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_exact_value_beyond_int_str_limit(self, capsys):
+        # 1/ell**4 has 4,401 digits, past CPython's default limit of 4,300
+        limit = int_str_limit()
+        ell = 10**1100
+        with no_int_str_limit():
+            argv = ["pmf", "--ell", str(ell), "--n", "4", "--k", "5", "--method", "demoivre"]
+            value = Fraction(56, ell**4)  # C(8, 3) ways to reach 5 with four steps
+            expected = f"56/{ell**4} = {value.numerator}/{value.denominator}\n"
+        assert main(argv) == 0
+        assert int_str_limit() == limit
+        assert capsys.readouterr().out == expected
+
 
 class TestConcCommand:
     def test_single(self, capsys):
@@ -121,6 +163,17 @@ class TestConcCommand:
         out = capsys.readouterr().out
         assert out.startswith("5/9 = 0.5555")
 
+    def test_exact_value_beyond_int_str_limit(self, capsys):
+        limit = int_str_limit()
+        ell = 10**1100
+        # the central probability of four steps is (2 ell**2 + 1) / (3 ell**3)
+        value = Fraction(2 * ell * ell + 1, 3 * ell**3)
+        assert main(["conc", "--ell", str(ell), "--n", "4"]) == 0
+        assert int_str_limit() == limit
+        with no_int_str_limit():
+            expected = f"{value.numerator}/{value.denominator} = {decimal_string(value)}\n"
+        assert capsys.readouterr().out == expected
+
 
 class TestVerifyCommand:
     def test_main_check_grid(self, tmp_path, capsys):
@@ -130,7 +183,7 @@ class TestVerifyCommand:
              "--out", str(out)]
         )
         assert code == 0
-        rows = cells_from_csv_bytes(out.read_bytes())
+        rows = csv_rows(out.read_bytes())
         assert len(rows) == 20
         cell52 = next(r for r in rows if r["ell"] == 5 and r["n"] == 2)
         assert cell52["verdict"] == "Fails"
@@ -144,7 +197,7 @@ class TestVerifyCommand:
              "--out", str(out)]
         )
         assert code == 0
-        rows = cells_from_csv_bytes(out.read_bytes())
+        rows = csv_rows(out.read_bytes())
         assert [r["verdict"] for r in rows] == ["Holds"] * 3
 
     def test_oracle_equiv_check(self, tmp_path):
@@ -154,13 +207,13 @@ class TestVerifyCommand:
              "--checks", "oracle_equiv", "--out", str(out)]
         )
         assert code == 0
-        rows = cells_from_csv_bytes(out.read_bytes())
+        rows = csv_rows(out.read_bytes())
         assert all(r["verdict"] == "Holds" for r in rows)
 
     def test_csv_round_trip(self, tmp_path):
         cfg = SweepConfig((2, 5), (1, 6), ("main", "bretagnolle"), 128, "csv", 1)
         report = run_sweep(cfg)
-        rows = cells_from_csv_bytes(report_to_csv_bytes(report))
+        rows = csv_rows(report_to_csv_bytes(report))
         assert len(rows) == len(report.cells)
         for row, cell in zip(rows, report.cells):
             for col in CSV_COLUMNS:
@@ -266,6 +319,24 @@ class TestSweepEngine:
             SweepConfig((2, 4), (1, 2), ("nonsense",))
         with pytest.raises(ParameterError):
             SweepConfig((2, 4), (1, 2), ("main",), 256, "xml")
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(precision_bits=256.0),
+            dict(precision_bits=True),
+            dict(parallelism=True),
+            dict(parallelism=2.0),
+            dict(n_range=(1.0, 2)),
+            dict(n_range=(1, 2.5)),
+            dict(ell_range=(True, 3)),
+        ],
+        ids=repr,
+    )
+    def test_rejects_bools_and_non_integers(self, fields):
+        base = dict(ell_range=(2, 3), n_range=(1, 2), checks=("main",))
+        with pytest.raises(ParameterError):
+            run_sweep(SweepConfig(**{**base, **fields}))
 
     def test_precision_cap(self):
         assert SweepConfig((2, 2), (1, 1), ("main",), 16384).precision_bits == 16384
@@ -397,8 +468,11 @@ class TestGoldenReport:
     were restructured; any change to a verdict, a rendered number or the
     summary shows up as a byte difference.  The margins of main, corollary,
     dsequence and wallis were regenerated once, when the sweep began to
-    enclose them at the requested precision instead of at 64 bits; every
-    certified column is checked against an mpmath reference."""
+    enclose them at the requested precision instead of at 64 bits; the
+    margins of the 20 bessel_chain rows were regenerated once, when G(2n/3)
+    began to be enclosed at the requested precision instead of to a fixed
+    1e-12 tolerance.  Every certified column is checked against an mpmath
+    reference."""
 
     GOLDEN = Path(__file__).parent / "golden"
 
@@ -415,14 +489,18 @@ class TestGoldenReport:
     def test_certified_columns_enclose_mpmath_reference(self, report):
         checked = 0
         for cell in report.cells:
-            if cell.check not in ("main", "corollary", "dsequence", "wallis"):
+            if cell.check not in ("main", "corollary", "dsequence", "wallis", "bessel_chain"):
                 continue
             bound = reference_bound(cell.check, cell.ell, cell.n)
             margin = bound - Fraction(cell.exact_fraction)
+            if cell.check == "bessel_chain":
+                # pair < G(2n/3) < bound; the margin is the smaller side's
+                g = reference_G(Fraction(2 * cell.n, 3))
+                margin = min(g - Fraction(cell.exact_fraction), bound - g)
             assert rendered(cell.bound_lo, -1) <= bound <= rendered(cell.bound_hi, 1), cell
             assert rendered(cell.margin_lo, -1) <= margin <= rendered(cell.margin_hi, 1), cell
             checked += 1
-        assert checked == 440
+        assert checked == 460
 
 
 def frac_of_mpf(x) -> Fraction:
@@ -442,12 +520,21 @@ def reference_bound(check: str, ell: int, n: int) -> Fraction:
             value = 2 * mpmath.sqrt(2 / pi) / (ell * mpmath.sqrt(n))
         elif check == "wallis":
             value = 1 / mpmath.sqrt(pi * ((n + 1) // 2))
+        elif check == "bessel_chain":
+            value = mpmath.sqrt(3 / (pi * n))
         else:
             d = 1 - mpmath.mpf(3) / (20 * n) + mpmath.mpf(21) / (160 * n * n)
             if n % 2 == 0:
                 d += 1 / (mpmath.sqrt(3) * (n - 1) * mpmath.mpf(2) ** (n - 1))
             value = d * main
         return frac_of_mpf(value)
+
+
+def reference_G(lam: Fraction) -> Fraction:
+    """exp(-lam) * (I0(lam) + I1(lam)) at 500 bits, from mpmath alone."""
+    with mpmath.workprec(500):
+        x = mpmath.mpf(lam.numerator) / lam.denominator
+        return frac_of_mpf(mpmath.exp(-x) * (mpmath.besseli(0, x) + mpmath.besseli(1, x)))
 
 
 def rendered(text: str, direction: int) -> Fraction:

@@ -95,6 +95,8 @@ class TestFourierPmf:
             fourier_pmf(1, 2, 0)
         with pytest.raises(ParameterError):
             fourier_pmf(2, 2, 0, tol=-1.0)
+        with pytest.raises(ParameterError):
+            fourier_pmf(3.0, 2, 0)
 
 
 class TestSplitIntegrals:
@@ -136,6 +138,8 @@ class TestMajorants:
             i1_majorant(1, 1)
         with pytest.raises(ParameterError):
             i2_majorant(2, 0)
+        with pytest.raises(ParameterError):
+            i1_majorant(2, True)
 
     @pytest.mark.parametrize("ell", range(2, 9))
     def test_proof_chain_majorizes_split(self, ell):
