@@ -9,7 +9,6 @@ from .certify import (
     Outcome,
     RootBound,
     Verdict,
-    certify_less,
     evaluate,
     pi_enclosure,
     verdict_between,

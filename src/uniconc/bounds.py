@@ -5,7 +5,7 @@ boundary cases of the sharp bound are decided by margins of a few 1e-4 and
 must not depend on rounding luck.  Each closed form is a
 ``certify.RootBound`` ``(a + b/sqrt(3)) * sqrt(r / pi**k)``, enclosed and
 compared by the certified engine (``certify.evaluate``,
-``certify.certify_less``); ``G`` is enclosed here, at the same precision, by
+``certify.verdict_between``); ``G`` is enclosed here, at the same precision, by
 directed integer series.
 """
 

@@ -23,14 +23,13 @@ __all__ = [
     "Outcome",
     "Verdict",
     "pi_enclosure",
-    "certify_less",
     "verdict_between",
     "RootBound",
     "evaluate",
 ]
 
 # Guard bits added on top of the caller-requested precision inside the
-# evaluator, so that a chain of rounded operations still meets the target.
+# evaluator, so that the rounded roots and their sum still meet the target.
 _GUARD_BITS = 32
 
 # the pi enclosure alone takes about half a second at 2**14 bits and about
@@ -156,24 +155,24 @@ def _round_dyadic(man: int, exp: int, bits: int, up: bool) -> Dyadic:
     return Dyadic.normalized(-q if neg else q, e)
 
 
-def _sqrt_dyadic(x: Dyadic, bits: int, up: bool) -> Dyadic:
-    """Directed rounding of sqrt(x) for x >= 0 via integer square root."""
-    if x.man < 0:
-        raise DomainError("square root of a negative endpoint")
-    if x.man == 0:
-        return Dyadic(0, 0)
-    m, e = x.man, x.exp
-    # scale so the integer sqrt carries >= bits+2 significant bits and the
-    # exponent is even
-    shift = max(0, 2 * bits + 2 - m.bit_length())
-    if (e - shift) & 1:
-        shift += 1
-    n = m << shift
-    r = isqrt(n)
-    exact = r * r == n
-    if up and not exact:
-        r += 1
-    return Dyadic.normalized(r, (e - shift) // 2)
+def _sqrt_ratio(num: int, den: int, exp: int, bits: int, up: bool) -> Dyadic:
+    """sqrt(num/den * 2**exp) for num >= 0 and den > 0, rounded toward -inf,
+    or toward +inf when ``up``: one exact integer ratio and one ``isqrt``.
+
+    The shift ``s`` comes from the bit lengths of num and den alone and makes
+    a nonzero num * 2**s / den at least 2**(2*bits + 1): the root then has at
+    least ``bits + 1`` significant bits at any magnitude.  ``s - exp`` is
+    even, so the root of the power of two left over is exact.
+    """
+    s = 2 * bits + 2 - num.bit_length() + den.bit_length()
+    s += (s - exp) & 1
+    q, rem = divmod(num << s, den) if s >= 0 else divmod(num, den << -s)
+    if up and rem:
+        q += 1
+    root = isqrt(q)
+    if up and root * root != q:
+        root += 1
+    return Dyadic.normalized(root, (exp - s) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -237,48 +236,12 @@ class Interval:
     def sub(self, other: "Interval", bits: int) -> "Interval":
         return self.add(other.neg(), bits)
 
-    def mul(self, other: "Interval", bits: int) -> "Interval":
-        a, b, c, d = self.lo, self.hi, other.lo, other.hi
-        # on a common exponent the extreme products are the extreme mantissas
-        e = min(a.exp, b.exp) + min(c.exp, d.exp)
-        mans = [(x.man * y.man) << (x.exp + y.exp - e) for x in (a, b) for y in (c, d)]
-        return Interval(
-            _round_dyadic(min(mans), e, bits, False), _round_dyadic(max(mans), e, bits, True)
-        )
-
-    def div(self, other: "Interval", bits: int) -> "Interval":
-        if other.contains_zero():
-            raise ExpressionError("division by an interval containing zero")
-        quots = [_dyadic_ratio(x, y) for x in (self.lo, self.hi) for y in (other.lo, other.hi)]
-        lo = hi = quots[0]
-        for q in quots[1:]:  # denominators are positive: compare by cross-multiplication
-            if q[0] * lo[1] < lo[0] * q[1]:
-                lo = q
-            if q[0] * hi[1] > hi[0] * q[1]:
-                hi = q
-        return Interval(_round_ratio(*lo, bits, False), _round_ratio(*hi, bits, True))
-
-    def sqrt(self, bits: int) -> "Interval":
-        if self.lo.man < 0:
-            raise DomainError("square root of an interval with negative lower endpoint")
-        return Interval(_sqrt_dyadic(self.lo, bits, False), _sqrt_dyadic(self.hi, bits, True))
-
 
 def _dyadic_sum(x: Dyadic, y: Dyadic) -> tuple[int, int]:
     """The exact sum of two dyadics as an unnormalized ``(man, exp)``."""
     if x.exp >= y.exp:
         return (x.man << (x.exp - y.exp)) + y.man, y.exp
     return x.man + (y.man << (y.exp - x.exp)), x.exp
-
-
-def _dyadic_ratio(x: Dyadic, y: Dyadic) -> tuple[int, int]:
-    """``x / y`` (y nonzero) as ``(num, den)`` with ``den > 0``, unreduced."""
-    num, den = x.man, y.man
-    if x.exp >= y.exp:
-        num <<= x.exp - y.exp
-    else:
-        den <<= y.exp - x.exp
-    return (-num, -den) if den < 0 else (num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -367,18 +330,31 @@ def _check_precision(precision_bits: int) -> None:
 
 
 def evaluate(bound: RootBound, precision_bits: int) -> Interval:
-    """Enclosure of a closed-form bound at the given target precision."""
+    """Enclosure of a closed-form bound at the given target precision.
+
+    The bound is written ``sqrt(a**2 r / pi**k) + sqrt(b**2 r / (3 pi**k))``,
+    the second root only when ``b > 0``.  Each root is enclosed directly by
+    ``_sqrt_ratio``: pi's upper end goes under the lower root and its lower
+    end under the upper root.
+    """
+    if not isinstance(bound, RootBound):
+        raise ExpressionError(f"bound must be a RootBound, got {bound!r}")
     _check_precision(precision_bits)
     bits = precision_bits + _GUARD_BITS
-    den = Interval.point(bound.r.denominator)
-    if bound.k:
-        den = den.mul(pi_enclosure(bits), bits)
-    root = Interval.point(bound.r.numerator).div(den, bits)
-    factor = Interval.from_fraction(bound.a, bits)
-    if bound.b:
-        over_root3 = Interval.from_fraction(bound.b, bits).div(Interval.point(3).sqrt(bits), bits)
-        factor = factor.add(over_root3, bits)
-    return factor.mul(root.sqrt(bits), bits)
+    pi_k = pi_enclosure(bits) if bound.k else Interval.point(1)
+    r = bound.r
+    total = None
+    for coef, d in ((bound.a, 1), (bound.b, 3)):
+        if not coef:
+            continue
+        num = coef.numerator**2 * r.numerator
+        den = coef.denominator**2 * r.denominator * d
+        root = Interval(
+            _sqrt_ratio(num, den * pi_k.hi.man, -pi_k.hi.exp, bits, False),
+            _sqrt_ratio(num, den * pi_k.lo.man, -pi_k.lo.exp, bits, True),
+        )
+        total = root if total is None else total.add(root, bits)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +376,6 @@ class Verdict:
     """
 
     outcome: Outcome
-    precision_bits_used: int
     margin: Interval
 
     @property
@@ -426,27 +401,5 @@ def verdict_between(lhs, rhs, precision_bits: int) -> Verdict:
         outcome = Outcome.FAILS
     else:
         outcome = Outcome.INCONCLUSIVE
-    return Verdict(outcome, precision_bits, margin)
+    return Verdict(outcome, margin)
 
-
-def certify_less(
-    lhs: Fraction,
-    rhs_expr: RootBound,
-    max_precision_bits: int = 4096,
-) -> Verdict:
-    """Certified verdict for lhs < rhs_expr, escalating precision as needed.
-
-    Evaluation starts at 64 bits and doubles until the margin excludes zero
-    or ``max_precision_bits`` (at most 16384) is reached; only then is the
-    comparison reported Inconclusive.
-    """
-    if not isinstance(rhs_expr, RootBound):
-        raise ExpressionError(f"rhs must be a RootBound, got {rhs_expr!r}")
-    _check_precision(max_precision_bits)
-    lhs = Fraction(lhs)
-    precision = 64
-    while True:
-        verdict = verdict_between(lhs, evaluate(rhs_expr, precision), precision)
-        if verdict.outcome is not Outcome.INCONCLUSIVE or precision >= max_precision_bits:
-            return verdict
-        precision = min(precision * 2, max_precision_bits)

@@ -7,8 +7,9 @@ Subcommands:
   asymptotics  local-CLT sharpness table
   report       full check suite over a grid, CSV + JSON side by side
 
-Exit codes: 0 success / verified, 1 verification mismatch or inconclusive,
-2 usage error, 3 I/O error.
+Exit codes: 0 success / verified, 1 verification mismatch or inconclusive
+result (a quadrature that does not converge is inconclusive too), 2 usage
+error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .asymptotics import clt_ratio, local_clt_sup_dev
-from .errors import ParameterError
+from .errors import ConvergenceError, ParameterError
 from .exactdist import LatticeParams, concentration, de_moivre_pmf, pair_concentration, power
 from .spectral import fourier_pmf
 from .sweep import (
@@ -276,6 +277,9 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -11,7 +11,7 @@ class DomainError(ValueError):
 
 
 class ExpressionError(ValueError):
-    """A bound is malformed, or an interval divisor contains zero."""
+    """A bound is malformed or not a ``RootBound``."""
 
 
 class ConvergenceError(RuntimeError):

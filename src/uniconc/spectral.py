@@ -106,6 +106,13 @@ def _composite_gl(f, a: float, b: float, panels: int) -> float:
     return float(np.sum(y * _GL_WEIGHTS[None, :] * half[:, None]))
 
 
+def _check_tol(tol: float) -> None:
+    # NaN fails every comparison, so `tol <= 0` would let it through to a
+    # refinement that never converges
+    if not (math.isfinite(tol) and tol > 0):
+        raise ParameterError(f"tol must be finite and positive, got {tol!r}")
+
+
 def _refine(f, a: float, b: float, tol: float, min_panels: int) -> QuadratureResult:
     """Double the panel count until two refinement levels agree within tol."""
     panels = max(1, min_panels)
@@ -138,8 +145,7 @@ def fourier_pmf(ell: int, n: int, k: int, tol: float = 1e-10) -> QuadratureResul
     function, error_estimate at most tol on success."""
     check_int("ell", ell, 2)
     check_int("n", n, 1)
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
+    _check_tol(tol)
     freq = n * (ell - 1) - 2 * k
 
     def integrand(t):
@@ -158,8 +164,7 @@ def split_integrals(
     [pi/ell, pi/2]; their sum reproduces the maximal probability.  For
     ell = 2 the outer interval is empty and the second result is zero.
     """
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
+    _check_tol(tol)
     ell, n, alpha = params.ell, params.n, params.alpha
 
     def integrand(t):
@@ -196,10 +201,9 @@ def i2_majorant(ell: int, n: int) -> float:
 
 def wallis_integral(lam: float, tol: float = 1e-9) -> QuadratureResult:
     """Numeric integral of sin(t)**lam over [0, pi/2] for lam > 0."""
-    if lam <= 0:
+    if not lam > 0:  # NaN too
         raise ParameterError(f"lambda must be positive, got {lam}")
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
+    _check_tol(tol)
 
     def integrand(t):
         return np.sin(t) ** lam
@@ -215,8 +219,9 @@ def chebyshev_lemma_check(f, g, a: float, tol: float = 1e-8) -> bool:
     a hypothesis violation a False return is legitimate.  Both sides are
     evaluated by quadrature and compared with slack tol.
     """
-    if a <= 0:
+    if not a > 0:  # NaN too
         raise ParameterError(f"a must be positive, got {a}")
+    _check_tol(tol)
 
     def fg(x):
         return np.asarray(f(x)) * np.asarray(g(x))

@@ -287,8 +287,7 @@ class _Point:
 
 def _certified_cell(p: _Point, check: str, expr: RootBound, prec: int, expected: str) -> SweepCell:
     """c(ell, n) < expr, decided against the one enclosure of expr at ``prec``
-    that the report also shows; ``certify_less`` would escalate to the same
-    cap and decide nothing more."""
+    that the report also shows."""
     bound = evaluate(expr, prec)
     verdict = verdict_between(p.conc, bound, prec)
     return _verdict_cell(p.ell, p.n, check, p.conc, bound, verdict, expected)
@@ -328,7 +327,7 @@ def _cell_bessel_chain(p: _Point, prec: int) -> SweepCell:
     margin = Interval(
         min(left.margin.lo, right.margin.lo), min(left.margin.hi, right.margin.hi)
     )
-    verdict = Verdict(outcome, prec, margin)
+    verdict = Verdict(outcome, margin)
     return _verdict_cell(p.ell, n, "bessel_chain", pair, outer, verdict, "holds")
 
 

@@ -22,7 +22,7 @@ from uniconc.bounds import (
     d_sequence_expr,
     wallis_bound_expr,
 )
-from uniconc.certify import Outcome, certify_less, evaluate, verdict_between
+from uniconc.certify import Outcome, evaluate, verdict_between
 from uniconc.exactdist import (
     LatticeParams,
     argmax_set,
@@ -120,7 +120,9 @@ def test_criterion_05_wallis():
     """Central binomial probabilities below 1/sqrt(pi*k), certified, k 1..2000."""
     for k in range(1, 2001):
         central = Fraction(comb(2 * k, k), 4**k)
-        verdict = certify_less(central, wallis_bound_expr(k), PRECISION_BITS)
+        verdict = verdict_between(
+            central, evaluate(wallis_bound_expr(k), PRECISION_BITS), PRECISION_BITS
+        )
         assert verdict.outcome is Outcome.HOLDS, f"k={k}"
     for k in range(1, 51):
         central = Fraction(comb(2 * k, k), 4**k)
@@ -229,7 +231,8 @@ def test_criterion_09b_corollary_bound():
     for ell in range(2, 13):
         for n in range(1, 61):
             c = concentration(LatticeParams(ell, n))
-            verdict = certify_less(c, corollary_bound_expr(ell, n), PRECISION_BITS)
+            bound = evaluate(corollary_bound_expr(ell, n), PRECISION_BITS)
+            verdict = verdict_between(c, bound, PRECISION_BITS)
             assert verdict.outcome is Outcome.HOLDS, (ell, n)
     _report("09b", True, "corollary bound certified on ell 2..12, n 1..60")
 

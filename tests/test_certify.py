@@ -7,7 +7,7 @@ from math import floor, isqrt
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uniconc import certify
@@ -17,12 +17,12 @@ from uniconc.certify import (
     Interval,
     Outcome,
     RootBound,
-    certify_less,
     evaluate,
     pi_enclosure,
     verdict_between,
     _round_fraction,
     _round_ratio,
+    _sqrt_ratio,
 )
 from uniconc.errors import DomainError, ExpressionError, ParameterError
 
@@ -84,25 +84,6 @@ class TestIntervalOps:
         s = a.add(b, 24)
         assert s.contains(Fraction(1, 3) + Fraction(1, 7))
 
-    def test_mul_signs(self):
-        a = Interval.from_fraction(Fraction(-2, 3), 40)
-        b = Interval.from_fraction(Fraction(5, 7), 40)
-        p = a.mul(b, 40)
-        assert p.contains(Fraction(-10, 21))
-        assert p.lo.sign < 0
-
-    def test_div_encloses(self):
-        a = Interval.from_fraction(Fraction(22, 7), 40)
-        b = Interval.from_fraction(Fraction(1, 3), 40)
-        q = a.div(b, 40)
-        assert q.contains(Fraction(66, 7))
-
-    def test_div_by_zero_interval(self):
-        a = Interval.point(1)
-        b = Interval(Dyadic(-1, -10), Dyadic(1, -10))
-        with pytest.raises(ExpressionError):
-            a.div(b, 40)
-
     def test_endpoint_order_enforced(self):
         with pytest.raises(ValueError):
             Interval(Dyadic(1, 0), Dyadic(-1, 0))
@@ -116,16 +97,11 @@ class TestIntervalOps:
             expr_exact = exact
             for _ in range(rng.randint(1, 6)):
                 other = Fraction(rng.randint(-99, 99), rng.randint(1, 99))
-                op = rng.choice("+-*/")
                 jv = Interval.from_fraction(other, 48)
-                if op == "+":
+                if rng.random() < 0.5:
                     expr_exact, iv = expr_exact + other, iv.add(jv, 48)
-                elif op == "-":
+                else:
                     expr_exact, iv = expr_exact - other, iv.sub(jv, 48)
-                elif op == "*":
-                    expr_exact, iv = expr_exact * other, iv.mul(jv, 48)
-                elif other != 0 and not jv.contains_zero():
-                    expr_exact, iv = expr_exact / other, iv.div(jv, 48)
             assert iv.contains(expr_exact)
 
 
@@ -134,49 +110,20 @@ def _endpoints(lo: Dyadic, hi: Dyadic) -> Interval:
 
 
 dyadics = st.builds(Dyadic.normalized, st.integers(-(2**160), 2**160), st.integers(-200, 200))
-nonneg_dyadics = st.builds(Dyadic.normalized, st.integers(0, 2**160), st.integers(-200, 200))
 intervals = st.builds(_endpoints, dyadics, dyadics)
-nonneg_intervals = st.builds(_endpoints, nonneg_dyadics, nonneg_dyadics)
 precisions = st.integers(min_value=1, max_value=256)
 
-OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
-
-
-def sqrt_on_grid(x: Fraction, bits: int, up: bool) -> Fraction:
-    """sqrt(x) for a dyadic x >= 0, rounded down or up to a multiple of 2**k.
-
-    x = m * 2**e with m odd; k is chosen as ``Interval.sqrt`` chooses it:
-    x / 4**k is an integer of at least 2*bits + 2 bits (and no more shift
-    than that needs), so the rounded root carries at least bits + 1 bits.
-    """
-    if x == 0:
-        return Fraction(0)
-    num, den = x.numerator, x.denominator
-    e = -(den.bit_length() - 1)
-    while num % 2 == 0:
-        num, e = num // 2, e + 1
-    shift = max(0, 2 * bits + 2 - num.bit_length())
-    shift += (e - shift) % 2
-    k = (e - shift) // 2
-    scaled = x / Fraction(2) ** (2 * k)
-    assert scaled.denominator == 1
-    root = isqrt(scaled.numerator)
-    if up and root * root != scaled.numerator:
-        root += 1
-    return root * Fraction(2) ** k
+OPS = {"add": operator.add, "sub": operator.sub}
 
 
 class TestIntervalProperties:
-    """Endpoints of add/sub/mul/div equal, bit for bit, the exact rational
-    image rounded outward by ``_round_fraction``; those of sqrt equal the
-    directed root on its grid.  Both enclose the exact image."""
+    """Endpoints of add/sub equal, bit for bit, the exact rational image
+    rounded outward by ``_round_fraction``, and enclose that image."""
 
     @pytest.mark.parametrize("name", sorted(OPS))
     @settings(max_examples=100, deadline=None)
     @given(x=intervals, y=intervals, bits=precisions)
     def test_ops_match_fraction_oracle(self, name, x, y, bits):
-        if name == "div":
-            assume(not y.contains_zero())
         corners = [
             OPS[name](a.as_fraction(), b.as_fraction()) for a in (x.lo, x.hi) for b in (y.lo, y.hi)
         ]
@@ -185,14 +132,81 @@ class TestIntervalProperties:
         assert got == Interval(_round_fraction(lo, bits, False), _round_fraction(hi, bits, True))
         assert got.lo.as_fraction() <= lo and hi <= got.hi.as_fraction()
 
+
+def sqrt_on_grid(x: Fraction, k: int, up: bool) -> Fraction:
+    """sqrt(x) for x >= 0 rounded down, or up, to a multiple of 2**k."""
+    n, d = (x / Fraction(4) ** k).as_integer_ratio()
+    q = -(-n // d) if up else n // d
+    root = isqrt(q)
+    if up and root * root != q:
+        root += 1
+    return root * Fraction(2) ** k
+
+
+def sqrt_ratio(num: int, den: int, exp: int, bits: int, up: bool) -> Fraction:
+    return _sqrt_ratio(num, den, exp, bits, up).as_fraction()
+
+
+class TestSqrt:
+    """``_sqrt_ratio``, the one directed root behind ``evaluate``."""
+
+    def test_perfect_square(self):
+        for up in (False, True):
+            assert _sqrt_ratio(4, 1, 0, 53, up) == Dyadic(1, 1)
+            assert _sqrt_ratio(9, 64, 0, 53, up) == Dyadic(3, -3)
+            assert _sqrt_ratio(9, 1, -6, 53, up) == Dyadic(3, -3)
+
+    def test_sqrt_two(self):
+        iv = Interval(_sqrt_ratio(2, 1, 0, 53, False), _sqrt_ratio(2, 1, 0, 53, True))
+        with mpmath.workprec(200):
+            ref = frac_of_mpf(mpmath.sqrt(2))
+        assert iv.contains(ref)
+        assert iv.width() <= Fraction(1, 2**50)
+
+    def test_zero(self):
+        for up in (False, True):
+            assert _sqrt_ratio(0, 1, 0, 53, up).man == 0
+
+    def test_square_contains_input(self):
+        lo, hi = sqrt_ratio(2, 1, 0, 64, False), sqrt_ratio(2, 1, 0, 64, True)
+        assert lo * lo < 2 < hi * hi
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        num=st.integers(1, 2**300),
+        den=st.integers(1, 2**300),
+        exp=st.integers(-400, 400),
+        bits=st.integers(1, 300),
+    )
+    def test_sqrt_matches_grid_oracle(self, num, den, exp, bits):
+        """Directed roots on the grid 2**k that gives them at least
+        ``bits + 1`` significant bits."""
+        x = Fraction(num, den) * Fraction(2) ** exp
+        lo, hi = sqrt_ratio(num, den, exp, bits, False), sqrt_ratio(num, den, exp, bits, True)
+        assert lo * lo <= x <= hi * hi
+        assert hi - lo <= lo / 2 ** (bits - 1)
+        # the shift rule: 2k = exp - s with s from the bit lengths, s - exp even
+        s = 2 * bits + 2 - num.bit_length() + den.bit_length()
+        s += (s - exp) % 2
+        k = (exp - s) // 2
+        assert lo == sqrt_on_grid(x, k, False) and hi == sqrt_on_grid(x, k, True)
+        assert lo >= Fraction(2) ** (k + bits)
+
     @settings(max_examples=100, deadline=None)
-    @given(x=nonneg_intervals, bits=precisions)
-    def test_sqrt_matches_grid_oracle(self, x, bits):
-        lo, hi = x.lo.as_fraction(), x.hi.as_fraction()
-        got = x.sqrt(bits)
-        assert got.lo.as_fraction() == sqrt_on_grid(lo, bits, False)
-        assert got.hi.as_fraction() == sqrt_on_grid(hi, bits, True)
-        assert got.lo.as_fraction() ** 2 <= lo and hi <= got.hi.as_fraction() ** 2
+    @given(
+        man=st.integers(1, 2**200),
+        exp=st.integers(-300, 300),
+        den_exp=st.integers(0, 300),
+        spare_bits=st.integers(0, 100),
+    )
+    def test_exact_on_perfect_squares(self, man, exp, den_exp, spare_bits):
+        # a root of at most bits + 1 significant bits is exact in both directions
+        bits = max(1, man.bit_length() - 1 + spare_bits)
+        root = Fraction(man) * Fraction(2) ** exp
+        x = root * root
+        for up in (False, True):
+            got = sqrt_ratio(x.numerator << den_exp, x.denominator << den_exp, 0, bits, up)
+            assert got == root
 
 
 class TestPi:
@@ -216,31 +230,6 @@ class TestPi:
     def test_minimum_precision(self):
         with pytest.raises(ParameterError):
             pi_enclosure(4)
-
-
-class TestSqrt:
-    def test_perfect_square(self):
-        iv = Interval.point(4).sqrt(53)
-        assert iv.lo == iv.hi == Dyadic(1, 1)
-
-    def test_sqrt_two(self):
-        iv = Interval.point(2).sqrt(53)
-        with mpmath.workprec(200):
-            ref = frac_of_mpf(mpmath.sqrt(2))
-        assert iv.contains(ref)
-        assert iv.width() <= Fraction(1, 2**50)
-
-    def test_zero(self):
-        iv = Interval.point(0).sqrt(53)
-        assert iv.lo.man == iv.hi.man == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            Interval(Dyadic(-1, 0), Dyadic(1, 0)).sqrt(53)
-
-    def test_square_contains_input(self):
-        iv = Interval.point(2).sqrt(64)
-        assert iv.mul(iv, 64).contains(Fraction(2))
 
 
 class TestRootBound:
@@ -277,11 +266,6 @@ class TestPrecisionCap:
         with pytest.raises(ParameterError):
             evaluate(main_bound_expr(2, 2), bits)
 
-    @pytest.mark.parametrize("bits", [32, certify._MAX_PRECISION_BITS + 1, 10**6, 256.0, True])
-    def test_certify_less_rejects_cap_before_pi(self, no_pi, bits):
-        with pytest.raises(ParameterError):
-            certify_less(Fraction(1, 2), main_bound_expr(2, 2), bits)
-
     def test_cap_itself_accepted(self, no_pi):
         # d_n involves no pi, so the top precision is cheap to reach
         iv = evaluate(d_sequence_expr(1), certify._MAX_PRECISION_BITS)
@@ -300,16 +284,24 @@ def mp_root_bound(a: Fraction, b: Fraction, r: Fraction, k: int):
     return (mpf(a) + mpf(b) / mpmath.sqrt(3)) * mpmath.sqrt(mpf(r) / mpmath.pi**k)
 
 
+def scaled_fractions(hi: int, decades: int):
+    """Fractions p/q with p, q in 1..hi, times 10**e for |e| <= decades."""
+    return st.builds(
+        lambda fr, e: fr * Fraction(10) ** e, positive_fractions(hi), st.integers(-decades, decades)
+    )
+
+
 class TestEvaluateProperties:
     """The four shapes the builders produce: sqrt(r/pi) (main, corollary,
     Wallis, Bessel chain), d_n for odd and even n, and d_n times the main
-    bound."""
+    bound; ``r`` also from 10**-40 to 10**40, where the shift of each root
+    must still keep the relative width."""
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=160, deadline=None)
     @given(
         a=positive_fractions(10**6),
         b=st.one_of(st.just(ZERO), positive_fractions(10**6)),
-        r=st.one_of(st.just(ONE), positive_fractions(10**6)),
+        r=st.one_of(st.just(ONE), positive_fractions(10**6), scaled_fractions(10**6, 40)),
         k=st.sampled_from([0, 1]),
         bits=st.integers(64, 512),
     )
@@ -320,20 +312,47 @@ class TestEvaluateProperties:
         assert iv.contains(ref)
         assert iv.width() / ref <= Fraction(1, 2 ** (bits - 2))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=positive_fractions(10**6),
+        b=st.one_of(st.just(ZERO), positive_fractions(10**6)),
+        r=scaled_fractions(10**6, 40),
+        bits=st.integers(64, 512),
+    )
+    def test_encloses_the_bound_at_both_ends_of_pi(self, a, b, r, bits):
+        """With pi enclosed by [3, 7/2], the bound must cover both ends:
+        pi's upper end under the lower root and its lower end under the
+        upper one.  The real enclosure is too narrow to show a swap."""
+        wide = Interval(Dyadic.from_int(3), Dyadic(7, -1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(certify, "pi_enclosure", lambda _bits: wide)
+            iv = evaluate(RootBound(a, b, r, 1), bits)
+        with mpmath.workprec(bits + 256):
+            at_hi = frac_of_mpf(mp_root_bound(a, b, r / Fraction(7, 2), 0))
+            at_lo = frac_of_mpf(mp_root_bound(a, b, r / 3, 0))
+        assert iv.lo.as_fraction() <= at_hi and at_lo <= iv.hi.as_fraction()
+
+
+def decide(lhs: Fraction, bound: RootBound, precision_bits: int = 256):
+    """The one decision path: lhs < bound against one enclosure of bound."""
+    return verdict_between(lhs, evaluate(bound, precision_bits), precision_bits)
+
 
 class TestCertifyLess:
+    """Certified decisions of c < bound, through ``decide``."""
+
     def test_reversed_boundary_case(self):
-        v = certify_less(Fraction(1, 5), root_over_pi(Fraction(6, 48)))
+        v = decide(Fraction(1, 5), root_over_pi(Fraction(6, 48)))
         assert v.outcome is Outcome.FAILS
         margin = float(v.margin.lo)
         assert -6e-4 < margin < -5e-4
 
     def test_holds_case(self):
-        v = certify_less(Fraction(3, 8), root_over_pi(Fraction(6, 12)))
+        v = decide(Fraction(3, 8), root_over_pi(Fraction(6, 12)))
         assert v.outcome is Outcome.HOLDS
 
     def test_exception_free_cell(self):
-        v = certify_less(Fraction(1, 4), root_over_pi(Fraction(6, 30)))
+        v = decide(Fraction(1, 4), root_over_pi(Fraction(6, 30)))
         assert v.outcome is Outcome.HOLDS
 
     def test_margin_sign_matches_outcome(self):
@@ -341,7 +360,7 @@ class TestCertifyLess:
             (Fraction(1, 5), root_over_pi(Fraction(6, 48))),
             (Fraction(3, 8), root_over_pi(Fraction(6, 12))),
         ]:
-            v = certify_less(lhs, expr)
+            v = decide(lhs, expr)
             if v.outcome is Outcome.HOLDS:
                 assert v.margin.lo.sign > 0
             elif v.outcome is Outcome.FAILS:
@@ -349,21 +368,19 @@ class TestCertifyLess:
             else:
                 assert v.margin.contains_zero()
 
-    def test_escalation_decides_tiny_margin(self):
+    def test_tiny_margin_decided_at_256_bits(self):
         # 1/sqrt(pi) rounded down to a multiple of 2**-100: the margin is
-        # below 2**-100, too small for the first 64-bit evaluation
+        # below 2**-100, too small for 64 bits
         with mpmath.workprec(400):
             ref = frac_of_mpf(1 / mpmath.sqrt(mpmath.pi))
         lhs = Fraction(floor(ref * 2**100), 2**100)
-        v = certify_less(lhs, wallis_bound_expr(1))
-        assert v.outcome is Outcome.HOLDS
-        assert v.precision_bits_used > 64
+        assert decide(lhs, wallis_bound_expr(1), 64).outcome is Outcome.INCONCLUSIVE
+        assert decide(lhs, wallis_bound_expr(1), 256).outcome is Outcome.HOLDS
 
     def test_equality_is_inconclusive_at_cap(self):
         # d_1 = 157/160 is rational, so no precision separates it from itself
-        v = certify_less(Fraction(157, 160), d_sequence_expr(1), 512)
+        v = decide(Fraction(157, 160), d_sequence_expr(1), 512)
         assert v.outcome is Outcome.INCONCLUSIVE
-        assert v.precision_bits_used == 512
 
     def test_stability_under_escalation(self):
         # decisions may sharpen but never flip between precisions
@@ -372,14 +389,14 @@ class TestCertifyLess:
             from uniconc.exactdist import LatticeParams, concentration
 
             c = concentration(LatticeParams(ell, n))
-            low = certify_less(c, expr, max_precision_bits=64)
-            high = certify_less(c, expr, max_precision_bits=4096)
+            low = decide(c, expr, 64)
+            high = decide(c, expr, 4096)
             if low.outcome is not Outcome.INCONCLUSIVE:
                 assert low.outcome is high.outcome
 
     def test_rejects_non_expression(self):
         with pytest.raises(ExpressionError):
-            certify_less(Fraction(1, 2), 0.75)
+            evaluate(0.75, 256)
 
     def test_const_rejects_float(self):
         with pytest.raises(ExpressionError):

@@ -14,12 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import uniconc.certify as certify
 import uniconc.cli as cli
+import uniconc.spectral as spectral
 import uniconc.sweep as sweep
 from uniconc.certify import Dyadic
 from uniconc.cli import main
-from uniconc.errors import ParameterError
+from uniconc.errors import ConvergenceError, ParameterError
 from uniconc.sweep import (
     CHECKS,
     CSV_COLUMNS,
@@ -139,6 +139,26 @@ class TestPmfCommand:
     def test_invalid_parameters_exit_usage(self, capsys):
         assert main(["pmf", "--ell", "0", "--n", "2"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_fourier_bad_tolerance_exit_usage(self, tol, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("_refine started")
+
+        monkeypatch.setattr(spectral, "_refine", refuse)
+        argv = ["pmf", "--ell", "3", "--n", "4", "--k", "4", "--method", "fourier", "--tol", tol]
+        assert main(argv) == 2
+        assert "tol must be finite and positive" in capsys.readouterr().err
+
+    def test_fourier_non_convergence_exits_one(self, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise ConvergenceError("quadrature did not reach tol=1e-10", None)
+
+        monkeypatch.setattr(cli, "fourier_pmf", no_convergence)
+        assert main(["pmf", "--ell", "3", "--n", "4", "--k", "4", "--method", "fourier"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: quadrature did not reach tol=1e-10"]
 
     def test_exact_value_beyond_int_str_limit(self, capsys):
         # 1/ell**4 has 4,401 digits, past CPython's default limit of 4,300
@@ -393,26 +413,18 @@ class TestSweepEngine:
         assert calls == {"power": 0, "concentration": 9}
 
     def test_one_bound_evaluation_per_certified_cell(self, monkeypatch):
-        calls = {"evaluate": 0, "certify_less": 0}
+        calls = {"evaluate": 0}
         real_evaluate = sweep.evaluate
 
         def evaluate(expr, precision_bits):
             calls["evaluate"] += 1
             return real_evaluate(expr, precision_bits)
 
-        def certify_less(*args, **kwargs):
-            calls["certify_less"] += 1
-            raise AssertionError("the sweep decides from its one evaluation")
-
         monkeypatch.setattr(sweep, "evaluate", evaluate)
-        monkeypatch.setattr(certify, "certify_less", certify_less)
-        # also at a binding the sweep module itself might hold
-        monkeypatch.setattr(sweep, "certify_less", certify_less, raising=False)
         for check in ("main", "corollary", "wallis", "dsequence"):
             calls.update(evaluate=0)
             report = run_sweep(SweepConfig((2, 4), (1, 3), (check,), 128))
             assert report.cells and calls["evaluate"] == len(report.cells), check
-        assert calls["certify_less"] == 0
 
     def test_summary_clean_logic(self):
         assert SweepSummary(5, 5, 0, 0, 0).clean

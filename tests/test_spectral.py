@@ -203,3 +203,36 @@ class TestConvergenceBudget:
         best = info.value.best
         assert isinstance(best, QuadratureResult)
         assert best.value == pytest.approx(1.1981402347355923, rel=1e-3)
+
+
+class TestToleranceCheck:
+    """NaN passes ``tol <= 0``; every quadrature entry point must reject it,
+    and infinities and zero, before any refinement starts."""
+
+    @pytest.fixture(autouse=True)
+    def no_refine(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("_refine started")
+
+        monkeypatch.setattr(spectral, "_refine", refuse)
+
+    CALLS = {
+        "fourier_pmf": lambda tol: fourier_pmf(3, 4, 4, tol),
+        "split_integrals": lambda tol: split_integrals(SplitParams.for_lattice(3, 4), tol),
+        "wallis_integral": lambda tol: wallis_integral(0.5, tol),
+        "chebyshev_lemma_check": lambda tol: chebyshev_lemma_check(
+            lambda x: np.ones_like(x), lambda x: x**2, 1.0, tol
+        ),
+    }
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_rejects_non_finite_or_non_positive(self, name, tol):
+        with pytest.raises(ParameterError):
+            self.CALLS[name](tol)
+
+    def test_rejects_nan_exponent_and_interval(self):
+        with pytest.raises(ParameterError):
+            wallis_integral(math.nan)
+        with pytest.raises(ParameterError):
+            chebyshev_lemma_check(lambda x: x, lambda x: x, math.nan)
