@@ -19,6 +19,7 @@ from .exactdist import (
     LatticeParams,
     argmax_set,
     concentration,
+    de_moivre_numerators,
     de_moivre_pmf,
     moments,
     pair_concentration,

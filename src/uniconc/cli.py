@@ -20,7 +20,14 @@ from pathlib import Path
 
 from .asymptotics import clt_ratio, local_clt_sup_dev
 from .errors import ConvergenceError, ParameterError
-from .exactdist import LatticeParams, concentration, de_moivre_pmf, pair_concentration, power
+from .exactdist import (
+    LatticeParams,
+    concentration,
+    de_moivre_numerators,
+    de_moivre_pmf,
+    pair_concentration,
+    power,
+)
 from .spectral import fourier_pmf
 from .sweep import (
     CHECKS,
@@ -154,9 +161,9 @@ def _cmd_pmf(args) -> int:
         return EXIT_OK
 
     if args.method == "demoivre":
-        nums = [int(de_moivre_pmf(params, k) * denom) for k in range(params.top + 1)]
+        nums = de_moivre_numerators(params)
     else:
-        nums = list(power(params).numerators)
+        nums = power(params).numerators
     for k, num in enumerate(nums):
         print(f"{k} {num}/{denom}")
     return EXIT_OK

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb
-from operator import sub
+from math import comb, perm
+from operator import mul, sub
 
 from .errors import ParameterError, check_int
 
@@ -21,6 +21,7 @@ __all__ = [
     "ExactDensity",
     "power",
     "de_moivre_pmf",
+    "de_moivre_numerators",
     "concentration",
     "argmax_set",
     "moments",
@@ -113,16 +114,50 @@ def de_moivre_pmf(params: LatticeParams, k: int) -> Fraction:
     so the cancellation must happen in integer arithmetic.  For k above the
     support the surviving terms cancel to an exact zero; for k < 0 the empty
     sum gives zero.
+
+    Only the first term takes a ``comb``; each later one follows by exact
+    steps, ``C(n, j+1) = C(n, j)*(n-j)/(j+1)`` and, with ``m = n+k-ell*j-1``
+    and ``r = n-1``, ``C(m-ell, r) = C(m, r)*perm(m-r, ell)/perm(m, ell)``,
+    or equally ``C(m, r)*perm(m-ell, r)/perm(m, r)``; the shorter product is
+    taken.  Both quotients are binomials, so the floor divisions are exact.
     """
     if k < 0:
         return Fraction(0)
     ell, n = params.ell, params.n
-    total = 0
+    r, m = n - 1, n + k - 1
+    b, nb = 1, comb(m, r)
+    total = nb
     # C(n, j) vanishes for j > n, so the sum is effectively capped at n.
-    for j in range(0, min(k // ell, n) + 1):
-        term = comb(n, j) * comb(n + k - ell * j - 1, n - 1)
+    for j in range(1, min(k // ell, n) + 1):
+        b = b * (n - j + 1) // j
+        if ell <= r:
+            nb = nb * perm(m - r, ell) // perm(m, ell)
+        else:
+            nb = nb * perm(m - ell, r) // perm(m, r)
+        m -= ell
+        term = b * nb
         total = total - term if (j & 1) else total + term
     return Fraction(total, ell**n)
+
+
+def de_moivre_numerators(params: LatticeParams) -> tuple[int, ...]:
+    """Numerators over ``ell**n`` of de Moivre's sum at every support point.
+
+    Builds two columns by exact multiplicative steps, ``B[j] = C(n, j)`` and
+    ``NB[r] = C(n-1+r, n-1)`` for r = 0..top, and sums
+    ``num[k] = sum_j (-1)^j B[j] NB[k - ell*j]``.  It shares no code with
+    :func:`power`, so the two are independent computations of one pmf.
+    """
+    ell, n, top = params.ell, params.n, params.top
+    signed = [1]
+    for j in range(1, n + 1):
+        signed.append(-signed[-1] * (n - j + 1) // j)
+    nb = [1]
+    for r in range(1, top + 1):
+        nb.append(nb[-1] * (n - 1 + r) // r)
+    # NB[k::-ell] lists NB[k - ell*j] for j = 0..k//ell; map stops at the
+    # shorter of it and the n + 1 binomials C(n, j)
+    return tuple(sum(map(mul, signed, nb[k::-ell])) for k in range(top + 1))
 
 
 def concentration(params: LatticeParams) -> Fraction:

@@ -36,6 +36,7 @@ from .exactdist import (
     LatticeParams,
     argmax_set,
     concentration,
+    de_moivre_numerators,
     de_moivre_pmf,
     moments,
     pair_concentration,
@@ -175,8 +176,10 @@ def _decimal_digits(num: int, den: int, sig: int = 30) -> str:
         return "0"
     sign = "-" if num < 0 else ""
     num = abs(num)
-    # decimal exponent e with 10**e <= num/den < 10**(e+1)
-    e = len(str(num)) - len(str(den))
+    # decimal exponent e with 10**e <= num/den < 10**(e+1); the bit lengths
+    # put log2(num/den) within 1 of their difference, and 1233/4096 is just
+    # below log10(2), so the seed lands within 2 of e and the loops settle it
+    e = (num.bit_length() - den.bit_length()) * 1233 >> 12
     while _ge_pow10(num, den, e + 1):
         e += 1
     while not _ge_pow10(num, den, e):
@@ -385,12 +388,8 @@ def _cell_moments(p: _Point, prec: int) -> SweepCell:
 
 
 def _cell_oracle_equiv(p: _Point, prec: int) -> SweepCell:
-    params, d = p.params, p.pmf
-    denom = d.denominator
-    ok = all(
-        de_moivre_pmf(params, k) == Fraction(num, denom)
-        for k, num in enumerate(d.numerators)
-    )
+    params = p.params
+    ok = de_moivre_numerators(params) == p.pmf.numerators
     ok = ok and de_moivre_pmf(params, -1) == 0 and de_moivre_pmf(params, params.top + 1) == 0
     return _exact_cell(p.ell, p.n, "oracle_equiv", _central_value(p), ok)
 

@@ -226,6 +226,28 @@ def test_criterion_09a_two_lattice_reduction():
     )
 
 
+def test_bretagnolle_violations_on_wide_scan_are_exactly_E():
+    """The relation c(ell,n) <= (2/ell)*C(n, n//2)/2**n fails on ell 2..40,
+    n 1..120 at exactly the 20 cells of E in that range and nowhere else.
+
+    The right-hand side is the closed form of (2/ell)*c(2,n); E is written
+    from the proof in criterion 9a, not taken from the sweep.
+    """
+    ells, ns = range(2, 41), range(1, 121)
+    proven = {(ell, 3) for ell in ells if ell % 2 == 1 and ell >= 3} | {(3, 5)}
+    found = {
+        (ell, n)
+        for ell in ells
+        for n in ns
+        if concentration(LatticeParams(ell, n)) > Fraction(2 * comb(n, n // 2), ell * 2**n)
+    }
+    assert len(proven) == 20
+    assert found == proven, (
+        f"unexpected violations {sorted(found - proven)}, "
+        f"missing counterexamples {sorted(proven - found)}"
+    )
+
+
 def test_criterion_09b_corollary_bound():
     """Simplified bound 2*sqrt(2/pi)/(ell*sqrt(n)) certified, ell 2..12, n 1..60."""
     for ell in range(2, 13):

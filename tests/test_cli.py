@@ -5,13 +5,13 @@ import io
 import json
 import sys
 from contextlib import contextmanager
-from decimal import Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import uniconc.cli as cli
@@ -105,6 +105,52 @@ class TestDecimalString:
             e += 1
         half_unit = Fraction(5) * Fraction(10) ** (e - sig)
         assert abs(Fraction(Decimal(text)) - fr) <= half_unit
+
+
+def reference_decimal(num: int, den: int, sig: int) -> str:
+    """``decimal_string`` of num/den by the decimal module: the quotient
+    correctly rounded half away from zero to ``sig`` digits, trailing zeros
+    stripped, positional for exponents -4..15 and scientific otherwise."""
+    if num == 0:
+        return "0"
+    ctx = Context(prec=sig, rounding=ROUND_HALF_UP, Emin=-9999, Emax=9999)
+    q = ctx.divide(Decimal(num), Decimal(den)).normalize(ctx)
+    sign, digits, _ = q.as_tuple()
+    ds, e = "".join(map(str, digits)), q.adjusted()
+    text = "-" if sign else ""
+    if -4 <= e < 16:
+        if e < 0:
+            return text + "0." + "0" * (-e - 1) + ds
+        ipart, fpart = ds[: e + 1].ljust(e + 1, "0"), ds[e + 1 :]
+        return text + ipart + ("." + fpart if fpart else "")
+    return text + ds[0] + ("." + ds[1:] if len(ds) > 1 else "") + f"e{e:+03d}"
+
+
+class TestDecimalExponent:
+    """The exponent seeded from bit lengths, at and beside powers of ten."""
+
+    @settings(max_examples=200, deadline=None)
+    @example(-400, 0, 1, False, 30)
+    @example(-5, 0, 1, False, 30)
+    @example(-4, 0, 7, False, 30)
+    @example(15, 0, 7, False, 30)
+    @example(16, 0, 1, False, 30)
+    @example(400, 0, 1, True, 30)
+    @given(
+        st.integers(-400, 400),
+        st.sampled_from((-1, 0, 1)),
+        st.integers(1, 2**300),
+        st.booleans(),
+        st.integers(1, 40),
+    )
+    def test_matches_decimal_module(self, p, offset, scale, negative, sig):
+        # num/den is 10**p, or one unit of num either side of it
+        if p >= 0:
+            num, den = 10**p * scale + offset, scale
+        else:
+            num, den = scale + offset, 10**-p * scale
+        num = -num if negative else num
+        assert sweep._decimal_digits(num, den, sig) == reference_decimal(num, den, sig)
 
 
 class TestPmfCommand:

@@ -1,5 +1,6 @@
 """Exact-distribution layer: frozen examples, exhaustive small-grid
-invariants and property tests of the prefix-sum recurrence."""
+invariants and property tests of the prefix-sum recurrence and of
+de Moivre's stepped sums."""
 
 from fractions import Fraction
 from math import comb
@@ -8,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uniconc import exactdist
 from uniconc.errors import ParameterError
 from uniconc.exactdist import (
     ExactDensity,
     LatticeParams,
     argmax_set,
     concentration,
+    de_moivre_numerators,
     de_moivre_pmf,
     moments,
     pair_concentration,
@@ -135,9 +138,41 @@ class TestDeMoivre:
         d = power(params)
         for k in range(params.top + 1):
             assert de_moivre_pmf(params, k) == Fraction(d.numerators[k], d.denominator)
+        assert de_moivre_numerators(params) == d.numerators
         # beyond the support the alternating sum must cancel exactly
         for k in (params.top + 1, params.top + 5):
             assert de_moivre_pmf(params, k) == 0
+
+    def test_numerators_are_plain_ints(self):
+        nums = de_moivre_numerators(LatticeParams(3, 2))
+        assert nums == (1, 2, 3, 2, 1)
+        assert all(type(v) is int for v in nums)
+
+    def test_large_point_matches_power(self):
+        params = LatticeParams(10, 400)
+        d = power(params)
+        assert concentration(params) == Fraction(d.numerators[params.top // 2], d.denominator)
+
+    def test_one_comb_per_point_and_none_per_column(self, monkeypatch):
+        calls = []
+
+        def counting_comb(a, b):
+            calls.append((a, b))
+            return comb(a, b)
+
+        monkeypatch.setattr(exactdist, "comb", counting_comb)
+        for ell, n in [(2, 30), (3, 20), (10, 40)]:
+            params = LatticeParams(ell, n)
+            calls.clear()
+            concentration(params)
+            assert len(calls) <= 1, (ell, n, calls)
+            for k in (-1, 0, params.top // 3, params.top, params.top + 1):
+                calls.clear()
+                de_moivre_pmf(params, k)
+                assert len(calls) <= 1, (ell, n, k, calls)
+            calls.clear()
+            de_moivre_numerators(params)
+            assert calls == [], (ell, n)
 
     @pytest.mark.parametrize("ell", range(2, 51))
     def test_closed_forms_single_and_double(self, ell):
@@ -274,15 +309,20 @@ class TestPowerProperties:
     def test_matches_fold(self, params):
         assert power(params).numerators == naive_power(params.ell, params.n)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(lattices, st.data())
     def test_matches_de_moivre(self, params, data):
         d = power(params)
         ks = data.draw(
-            st.lists(st.integers(min_value=-2, max_value=params.top + 2), min_size=1, max_size=8)
+            st.lists(st.integers(min_value=-3, max_value=params.top + 3), min_size=1, max_size=8)
         )
         for k in ks + [params.top // 2]:
             assert de_moivre_pmf(params, k) == d.pmf(k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lattices)
+    def test_matches_de_moivre_numerators(self, params):
+        assert de_moivre_numerators(params) == power(params).numerators
 
     @settings(max_examples=50, deadline=None)
     @given(lattices)
