@@ -56,20 +56,10 @@ class Dyadic:
         shift = (man & -man).bit_length() - 1
         return Dyadic(man >> shift, exp + shift)
 
-    @staticmethod
-    def from_int(v: int) -> "Dyadic":
-        return Dyadic.normalized(v, 0)
-
     def as_fraction(self) -> Fraction:
         if self.exp >= 0:
             return Fraction(self.man << self.exp, 1)
         return Fraction(self.man, 1 << -self.exp)
-
-    def __float__(self) -> float:
-        try:
-            return self.man * 2.0**self.exp
-        except OverflowError:
-            return float(self.as_fraction())
 
     def _cmp(self, other: "Dyadic") -> int:
         a, b = self.man, other.man
@@ -129,13 +119,9 @@ def _round_ratio(num: int, den: int, bits: int, up: bool) -> Dyadic:
     return Dyadic.normalized(q, e)
 
 
-def _round_fraction(fr: Fraction, bits: int, up: bool) -> Dyadic:
-    return _round_ratio(fr.numerator, fr.denominator, bits, up)
-
-
 def _round_dyadic(man: int, exp: int, bits: int, up: bool) -> Dyadic:
     """Directed rounding of ``man * 2**exp``, bit-identical to
-    ``_round_fraction`` of the same value.
+    ``_round_ratio`` of the same value.
 
     The exponent rule of ``_round_ratio`` on the reduced fraction is
     ``bit_length(|man|) + exp - 1 - bits``, which does not depend on how many
@@ -191,35 +177,17 @@ class Interval:
             raise ValueError("interval endpoints out of order")
 
     @staticmethod
-    def point(v: int | Fraction) -> "Interval":
-        if isinstance(v, int):
-            d = Dyadic.from_int(v)
-            return Interval(d, d)
-        num, den = v.numerator, v.denominator
-        if den & (den - 1) == 0:  # power of two: exactly representable
-            d = Dyadic.normalized(num, -(den.bit_length() - 1))
-            return Interval(d, d)
-        raise ValueError("fraction is not dyadic; use from_fraction with a precision")
+    def point(v: int) -> "Interval":
+        d = Dyadic.normalized(v, 0)
+        return Interval(d, d)
 
     @staticmethod
-    def from_fraction(fr: Fraction, bits: int) -> "Interval":
-        den = fr.denominator
-        if den & (den - 1) == 0:
-            d = Dyadic.normalized(fr.numerator, -(den.bit_length() - 1))
+    def from_fraction(fr: Fraction | int, bits: int) -> "Interval":
+        num, den = fr.numerator, fr.denominator
+        if den & (den - 1) == 0:  # a power of two (1 for an int): exactly representable
+            d = Dyadic.normalized(num, -(den.bit_length() - 1))
             return Interval(d, d)
-        return Interval(_round_fraction(fr, bits, False), _round_fraction(fr, bits, True))
-
-    def width(self) -> Fraction:
-        return self.hi.as_fraction() - self.lo.as_fraction()
-
-    def contains(self, v: Fraction) -> bool:
-        return self.lo.as_fraction() <= v <= self.hi.as_fraction()
-
-    def contains_zero(self) -> bool:
-        return self.lo.man <= 0 <= self.hi.man
-
-    def __contains__(self, v) -> bool:
-        return self.contains(Fraction(v))
+        return Interval(_round_ratio(num, den, bits, False), _round_ratio(num, den, bits, True))
 
     # All arithmetic takes an explicit precision and rounds outward, so the
     # result is always an enclosure of the exact set image.
@@ -378,21 +346,13 @@ class Verdict:
     outcome: Outcome
     margin: Interval
 
-    @property
-    def holds(self) -> bool:
-        return self.outcome is Outcome.HOLDS
-
 
 def _as_interval(v: Fraction | int | Interval, bits: int) -> Interval:
-    if isinstance(v, Interval):
-        return v
-    if isinstance(v, int):
-        return Interval.point(v)
-    return Interval.from_fraction(v, bits)
+    return v if isinstance(v, Interval) else Interval.from_fraction(v, bits)
 
 
 def verdict_between(lhs, rhs, precision_bits: int) -> Verdict:
-    """Certify lhs < rhs where each side is a Fraction or an Interval."""
+    """Certify lhs < rhs where each side is a Fraction, an int or an Interval."""
     bits = precision_bits + _GUARD_BITS
     margin = _as_interval(rhs, bits).sub(_as_interval(lhs, bits), bits)
     if margin.lo.sign > 0:

@@ -28,7 +28,6 @@ from .exactdist import (
     pair_concentration,
     power,
 )
-from .spectral import fourier_pmf
 from .sweep import (
     CHECKS,
     SweepConfig,
@@ -44,6 +43,9 @@ EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
+# the keys a --config file may set, one per verify option
+_CONFIG_KEYS = ("ell_range", "n_range", "checks", "precision_bits", "format", "out", "parallelism")
+
 
 def _parse_range(text: str) -> tuple[int, int]:
     try:
@@ -51,6 +53,13 @@ def _parse_range(text: str) -> tuple[int, int]:
         return (int(lo), int(hi if hi else lo))
     except ValueError:
         raise ParameterError(f"expected a range A:B, got {text!r}") from None
+
+
+def _parse_int(key: str, value) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ParameterError(f"{key} must be an integer, got {value!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,7 +116,10 @@ def _read_config_file(path: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ParameterError(f"bad config line (expected key=value): {raw!r}")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in _CONFIG_KEYS:
+            raise ParameterError(f"unknown config key {key!r}; valid: {', '.join(_CONFIG_KEYS)}")
+        values[key] = value.strip()
     return values
 
 
@@ -128,9 +140,9 @@ def _sweep_config(args, file_values: dict[str, str], checks: tuple[str, ...]) ->
         ell_range=_parse_range(str(ell_range)),
         n_range=_parse_range(str(n_range)),
         checks=checks,
-        precision_bits=int(precision),
+        precision_bits=_parse_int("precision_bits", precision),
         output_format=str(output_format),
-        parallelism=int(parallelism),
+        parallelism=_parse_int("parallelism", parallelism),
     )
 
 
@@ -139,6 +151,9 @@ def _cmd_pmf(args) -> int:
     denom = args.ell**args.n
 
     if args.method == "fourier":
+        # imported here so that no other command loads numpy
+        from .spectral import fourier_pmf
+
         ks = [args.k] if args.k is not None else range(params.top + 1)
         for k in ks:
             value = fourier_pmf(args.ell, args.n, k, args.tol).value

@@ -1,6 +1,8 @@
 """Exception types shared across the package, and the one integer-argument
 check."""
 
+__all__ = ["ParameterError", "DomainError", "ExpressionError", "ConvergenceError", "check_int"]
+
 
 class ParameterError(ValueError):
     """An argument is outside the domain an operation supports."""

@@ -58,14 +58,13 @@ class LatticeParams:
 class ExactDensity:
     """Pmf of an n-fold sum of independent uniform draws on {0, ..., ell-1}.
 
-    The probability at k is ``numerators[k] / ell**denominator_exponent``.
+    The probability at k is ``numerators[k] / ell**n``.
     Numerators are kept un-reduced so that the exact normalization
     ``sum(numerators) == ell**n`` is preserved.
     """
 
     params: LatticeParams
     numerators: tuple[int, ...]
-    denominator_exponent: int
 
     def __post_init__(self):
         if len(self.numerators) != self.params.support_size:
@@ -75,7 +74,7 @@ class ExactDensity:
 
     @property
     def denominator(self) -> int:
-        return self.params.ell**self.denominator_exponent
+        return self.params.ell**self.params.n
 
     def pmf(self, k: int) -> Fraction:
         """Probability at integer k, exact; zero outside the support."""
@@ -103,7 +102,7 @@ def power(params: LatticeParams) -> ExactDensity:
         prefix = [0, *accumulate(row[:half])]
         lower = prefix[1:ell] + list(map(sub, prefix[ell:], prefix))
         row = lower + lower[: size // 2][::-1]
-    return ExactDensity(params, tuple(row), n)
+    return ExactDensity(params, tuple(row))
 
 
 def de_moivre_pmf(params: LatticeParams, k: int) -> Fraction:

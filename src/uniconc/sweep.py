@@ -14,7 +14,7 @@ import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import comb
@@ -25,7 +25,6 @@ from .certify import (
     Interval,
     Outcome,
     RootBound,
-    Verdict,
     _check_precision,
     evaluate,
     verdict_between,
@@ -229,48 +228,6 @@ def _fraction_string(fr: Fraction) -> str:
 # per-cell checks
 # ---------------------------------------------------------------------------
 
-def _verdict_cell(
-    ell: int,
-    n: int,
-    check: str,
-    exact: Fraction,
-    bound: Interval,
-    verdict: Verdict,
-    expected: str,
-) -> SweepCell:
-    b_lo, b_hi = _interval_strings(bound)
-    m_lo, m_hi = _interval_strings(verdict.margin)
-    return SweepCell(
-        ell=ell,
-        n=n,
-        check=check,
-        exact=decimal_string(exact),
-        exact_fraction=_fraction_string(exact),
-        bound_lo=b_lo,
-        bound_hi=b_hi,
-        verdict=verdict.outcome.value,
-        margin_lo=m_lo,
-        margin_hi=m_hi,
-        expected=expected,
-    )
-
-
-def _exact_cell(ell: int, n: int, check: str, exact: Fraction, ok: bool) -> SweepCell:
-    return SweepCell(
-        ell=ell,
-        n=n,
-        check=check,
-        exact=decimal_string(exact),
-        exact_fraction=_fraction_string(exact),
-        bound_lo="",
-        bound_hi="",
-        verdict="Holds" if ok else "Fails",
-        margin_lo="",
-        margin_hi="",
-        expected="holds",
-    )
-
-
 class _Point:
     """One (ell, n) grid point.  Its concentration and full pmf are computed
     at most once, on first use, and shared by every check of the point."""
@@ -288,12 +245,31 @@ class _Point:
         return power(self.params)
 
 
+def _cell(
+    p: _Point,
+    check: str,
+    exact: Fraction,
+    verdict: str,
+    bound: tuple[str, str] = ("", ""),
+    margin: tuple[str, str] = ("", ""),
+    expected: str = "holds",
+) -> SweepCell:
+    """The one report row; exact checks leave the bound and margin empty."""
+    return SweepCell(
+        p.ell, p.n, check, decimal_string(exact), _fraction_string(exact),
+        *bound, verdict, *margin, expected,
+    )
+
+
 def _certified_cell(p: _Point, check: str, expr: RootBound, prec: int, expected: str) -> SweepCell:
     """c(ell, n) < expr, decided against the one enclosure of expr at ``prec``
     that the report also shows."""
     bound = evaluate(expr, prec)
     verdict = verdict_between(p.conc, bound, prec)
-    return _verdict_cell(p.ell, p.n, check, p.conc, bound, verdict, expected)
+    return _cell(
+        p, check, p.conc, verdict.outcome.value,
+        _interval_strings(bound), _interval_strings(verdict.margin), expected,
+    )
 
 
 def _cell_main(p: _Point, prec: int) -> SweepCell:
@@ -330,8 +306,9 @@ def _cell_bessel_chain(p: _Point, prec: int) -> SweepCell:
     margin = Interval(
         min(left.margin.lo, right.margin.lo), min(left.margin.hi, right.margin.hi)
     )
-    verdict = Verdict(outcome, margin)
-    return _verdict_cell(p.ell, n, "bessel_chain", pair, outer, verdict, "holds")
+    return _cell(
+        p, "bessel_chain", pair, outcome.value, _interval_strings(outer), _interval_strings(margin)
+    )
 
 
 def _cell_dsequence(p: _Point, prec: int) -> SweepCell:
@@ -348,21 +325,9 @@ def _cell_bretagnolle(p: _Point, prec: int) -> SweepCell:
     # c(2, n) is the largest binomial probability C(n, n // 2) / 2**n
     rhs = Fraction(2, p.ell) * Fraction(comb(p.n, p.n // 2), 2**p.n)
     margin = rhs - c  # non-strict comparison: equality holds at ell = 2
-    rhs_str = decimal_string(rhs)
-    margin_str = decimal_string(margin)
-    return SweepCell(
-        ell=p.ell,
-        n=p.n,
-        check="bretagnolle",
-        exact=decimal_string(c),
-        exact_fraction=_fraction_string(c),
-        bound_lo=rhs_str,
-        bound_hi=rhs_str,
-        verdict="Holds" if margin >= 0 else "Fails",
-        margin_lo=margin_str,
-        margin_hi=margin_str,
-        expected="holds",
-    )
+    rhs_str, margin_str = decimal_string(rhs), decimal_string(margin)
+    verdict = "Holds" if margin >= 0 else "Fails"
+    return _cell(p, "bretagnolle", c, verdict, (rhs_str, rhs_str), (margin_str, margin_str))
 
 
 def _central_value(p: _Point) -> Fraction:
@@ -377,21 +342,21 @@ def _cell_argmax(p: _Point, prec: int) -> SweepCell:
     # for n = 1 the pmf is flat and every point is maximal; the central
     # points must still be among them
     ok = central <= peak if p.n == 1 else peak == central
-    return _exact_cell(p.ell, p.n, "argmax", _central_value(p), ok)
+    return _cell(p, "argmax", _central_value(p), "Holds" if ok else "Fails")
 
 
 def _cell_moments(p: _Point, prec: int) -> SweepCell:
     ell, n = p.ell, p.n
     mean, var = moments(p.pmf)
     ok = mean == Fraction(n * (ell - 1), 2) and var == Fraction(n * (ell * ell - 1), 12)
-    return _exact_cell(ell, n, "moments", mean, ok)
+    return _cell(p, "moments", mean, "Holds" if ok else "Fails")
 
 
 def _cell_oracle_equiv(p: _Point, prec: int) -> SweepCell:
     params = p.params
     ok = de_moivre_numerators(params) == p.pmf.numerators
     ok = ok and de_moivre_pmf(params, -1) == 0 and de_moivre_pmf(params, params.top + 1) == 0
-    return _exact_cell(p.ell, p.n, "oracle_equiv", _central_value(p), ok)
+    return _cell(p, "oracle_equiv", _central_value(p), "Holds" if ok else "Fails")
 
 
 _CELL_FUNCS = {
@@ -473,7 +438,9 @@ def report_to_csv_bytes(report: SweepReport) -> bytes:
 def report_to_json_bytes(report: SweepReport) -> bytes:
     obj = {
         "config": report.config.serializable(),
-        "cells": [asdict(c) for c in report.cells],
-        "summary": asdict(report.summary),
+        # every field is a str or int, so vars keeps the field order without
+        # the deep copy asdict makes
+        "cells": [vars(c) for c in report.cells],
+        "summary": vars(report.summary),
     }
     return (json.dumps(obj, indent=2) + "\n").encode("utf-8")

@@ -136,7 +136,8 @@ def test_criterion_06_bessel_chain():
     for n in range(1, 201):
         pair = pair_concentration(LatticeParams(3, n))
         middle = bessel_G(Fraction(2 * n, 3), PRECISION_BITS)
-        assert middle.width() <= middle.lo.as_fraction() / 2 ** (PRECISION_BITS - 2)
+        width = middle.hi.as_fraction() - middle.lo.as_fraction()
+        assert width <= middle.lo.as_fraction() / 2 ** (PRECISION_BITS - 2)
         outer = evaluate(bessel_chain_expr(n), PRECISION_BITS)
         assert verdict_between(pair, middle, PRECISION_BITS).outcome is Outcome.HOLDS, n
         assert verdict_between(middle, outer, PRECISION_BITS).outcome is Outcome.HOLDS, n

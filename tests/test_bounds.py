@@ -17,7 +17,7 @@ from uniconc.bounds import (
     main_bound_expr,
     wallis_bound_expr,
 )
-from uniconc.certify import Outcome, evaluate, verdict_between
+from uniconc.certify import Interval, Outcome, evaluate, verdict_between
 from uniconc.errors import ParameterError
 
 
@@ -27,11 +27,19 @@ def frac_of_mpf(x) -> Fraction:
     return -value if sign else value
 
 
+def contains(iv: Interval, v: Fraction) -> bool:
+    return iv.lo.as_fraction() <= v <= iv.hi.as_fraction()
+
+
+def width_of(iv: Interval) -> Fraction:
+    return iv.hi.as_fraction() - iv.lo.as_fraction()
+
+
 def assert_encloses(iv, reference: float, width: float = 1e-15):
-    assert float(iv.lo.as_fraction()) <= reference <= float(iv.hi.as_fraction()) or iv.contains(
-        Fraction(reference)
+    assert float(iv.lo.as_fraction()) <= reference <= float(iv.hi.as_fraction()) or contains(
+        iv, Fraction(reference)
     )
-    assert float(iv.width()) <= width
+    assert float(width_of(iv)) <= width
 
 
 class TestBuilderValidation:
@@ -77,7 +85,7 @@ class TestMainBound:
     def test_relative_width_contract(self):
         for bits in (64, 128, 256):
             iv = evaluate(main_bound_expr(7, 13), bits)
-            rel = iv.width() / iv.lo.as_fraction()
+            rel = width_of(iv) / iv.lo.as_fraction()
             assert rel <= Fraction(1, 2 ** (bits - 2))
 
     def test_rejects_point_mass(self):
@@ -143,8 +151,8 @@ class TestWallisBound:
 class TestDSequence:
     def test_first_term_exact_rational(self):
         b = evaluate(d_sequence_expr(1), 128)
-        assert b.contains(Fraction(157, 160))
-        assert float(b.width()) < 1e-30
+        assert contains(b, Fraction(157, 160))
+        assert float(width_of(b)) < 1e-30
 
     def test_second_term_exceeds_one(self):
         b = evaluate(d_sequence_expr(2), 128)
@@ -160,23 +168,23 @@ class TestDSequence:
         expr = d_sequence_expr(7)
         iv = evaluate(expr, 64)
         expected = 1 - Fraction(3, 140) + Fraction(21, 160 * 49)
-        assert iv.contains(expected)
-        assert float(iv.width()) < 1e-15
+        assert contains(iv, expected)
+        assert float(width_of(iv)) < 1e-15
 
 
 class TestBesselG:
     def test_at_zero(self):
         b = bessel_G(0, 64)
         assert b.lo == b.hi
-        assert b.contains(Fraction(1))
+        assert contains(b, Fraction(1))
 
     def test_reference_value(self):
         with mpmath.workprec(200):
             lam = mpmath.mpf(4) / 3
             ref = frac_of_mpf(mpmath.e ** (-lam) * (mpmath.besseli(0, lam) + mpmath.besseli(1, lam)))
         b = bessel_G(Fraction(4, 3), 128)
-        assert b.contains(ref)
-        assert b.width() <= Fraction(1, 10**12)
+        assert contains(b, ref)
+        assert width_of(b) <= Fraction(1, 10**12)
         assert abs(float(ref) - 0.6122146688499176) < 1e-15
 
     def test_large_argument_chain(self):
@@ -185,8 +193,8 @@ class TestBesselG:
         assert verdict_between(g, outer, 128).outcome is Outcome.HOLDS
 
     def test_width_shrinks_from_128_to_512_bits(self):
-        loose = bessel_G(Fraction(10), 128).width()
-        tight = bessel_G(Fraction(10), 512).width()
+        loose = width_of(bessel_G(Fraction(10), 128))
+        tight = width_of(bessel_G(Fraction(10), 512))
         assert tight < loose <= Fraction(1, 10**6)
         assert tight <= Fraction(1, 2**510)
 
@@ -207,8 +215,8 @@ class TestBesselG:
         with mpmath.workprec(bits + 256):
             lam = mpmath.mpf(p) / q
             ref = frac_of_mpf(mpmath.exp(-lam) * (mpmath.besseli(0, lam) + mpmath.besseli(1, lam)))
-        assert g.contains(ref)
-        assert g.width() / ref <= Fraction(1, 2 ** (bits - 2))
+        assert contains(g, ref)
+        assert width_of(g) / ref <= Fraction(1, 2 ** (bits - 2))
 
 
 class TestSeriesChains:

@@ -1,8 +1,11 @@
 """CLI surface and sweep-report contracts."""
 
 import csv
+import importlib
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import contextmanager
 from decimal import ROUND_HALF_UP, Context, Decimal
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import uniconc
 import uniconc.cli as cli
 import uniconc.spectral as spectral
 import uniconc.sweep as sweep
@@ -200,7 +204,7 @@ class TestPmfCommand:
         def no_convergence(*args, **kwargs):
             raise ConvergenceError("quadrature did not reach tol=1e-10", None)
 
-        monkeypatch.setattr(cli, "fourier_pmf", no_convergence)
+        monkeypatch.setattr(spectral, "fourier_pmf", no_convergence)
         assert main(["pmf", "--ell", "3", "--n", "4", "--k", "4", "--method", "fourier"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -217,6 +221,57 @@ class TestPmfCommand:
         assert main(argv) == 0
         assert int_str_limit() == limit
         assert capsys.readouterr().out == expected
+
+
+# the names the package root once re-exported, by defining module
+FORMER_ROOT_EXPORTS = {
+    "asymptotics": ("clt_ratio", "local_clt_sup_dev"),
+    "bounds": ("bessel_G",),
+    "certify": (
+        "Dyadic", "Interval", "Outcome", "RootBound", "Verdict", "evaluate", "pi_enclosure",
+        "verdict_between",
+    ),
+    "errors": ("ConvergenceError", "DomainError", "ExpressionError", "ParameterError"),
+    "exactdist": (
+        "ExactDensity", "LatticeParams", "argmax_set", "concentration", "de_moivre_numerators",
+        "de_moivre_pmf", "moments", "pair_concentration", "power",
+    ),
+    "spectral": (
+        "QuadratureResult", "SplitParams", "charfn_kernel", "chebyshev_lemma_check",
+        "fourier_pmf", "i1_majorant", "i2_majorant", "split_integrals", "wallis_integral",
+    ),
+    "sweep": ("SweepCell", "SweepConfig", "SweepReport", "SweepSummary", "run_sweep"),
+}
+
+
+class TestPackageSurface:
+    def test_cli_import_leaves_numpy_unloaded(self):
+        # asymptotics stays eager: the bench tracer wraps only modules that
+        # are loaded when it installs
+        code = (
+            "import sys, uniconc.cli; "
+            "print(sorted(m for m in ('numpy', 'uniconc.spectral', 'uniconc.asymptotics') "
+            "if m in sys.modules))"
+        )
+        src = str(Path(uniconc.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout == "['uniconc.asymptotics']\n"
+
+    @pytest.mark.parametrize("module", sorted(FORMER_ROOT_EXPORTS))
+    def test_former_root_exports_resolve_in_their_modules(self, module):
+        mod = importlib.import_module(f"uniconc.{module}")
+        for name in FORMER_ROOT_EXPORTS[module]:
+            assert name in mod.__all__, name
+            assert getattr(mod, name) is not None
+
+    def test_package_root_lists_no_names(self):
+        assert not hasattr(uniconc, "__all__")
+        assert {n for n in vars(uniconc) if not n.startswith("_")} <= {
+            *FORMER_ROOT_EXPORTS, "cli"
+        }
 
 
 class TestConcCommand:
@@ -311,6 +366,34 @@ class TestVerifyCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "moments" in out and ",main," not in out
+
+    def test_config_file_takes_every_documented_key(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            "ell_range=2:2\nn_range=1:1\nchecks=main\nprecision_bits=128\n"
+            "format=json\nout=-\nparallelism=1\n"
+        )
+        assert main(["verify", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["precision_bits"] == 128
+
+    @pytest.mark.parametrize("line", ["parallelism=abc", "precision_bits=2.5e2"])
+    def test_config_file_non_integer_exits_usage(self, tmp_path, capsys, line):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"ell_range=2:2\nn_range=1:1\n{line}\n")
+        assert main(["verify", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        key, value = line.split("=")
+        assert captured.err == f"error: {key} must be an integer, got {value!r}\n"
+
+    def test_config_file_unknown_key_exits_usage(self, tmp_path, capsys):
+        # a typo of n_range must not sweep the default grid
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("ell_range=2:2\nn-range=1:3\n")
+        assert main(["verify", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown config key 'n-range'")
 
     def test_io_error_exit_code(self, tmp_path):
         code = main(

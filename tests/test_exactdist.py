@@ -295,7 +295,7 @@ class TestValidation:
 
     def test_density_length_checked(self):
         with pytest.raises(ParameterError):
-            ExactDensity(LatticeParams(2, 2), (1, 2), 2)
+            ExactDensity(LatticeParams(2, 2), (1, 2))
 
 
 lattices = st.builds(
@@ -334,3 +334,16 @@ class TestPowerProperties:
         assert all(v > 0 for v in nums)
         # non-decreasing up to the center; symmetry gives the other side
         assert all(a <= b for a, b in zip(nums[: len(nums) // 2], nums[1:]))
+
+    @settings(max_examples=50, deadline=None)
+    @given(lattices)
+    def test_pair_maximum_is_central(self, params):
+        nums = naive_power(params.ell, params.n)
+        denom = params.ell**params.n
+        top = params.top
+        if top == 0:  # the point mass has no pair
+            assert pair_concentration(params) == Fraction(nums[0], denom)
+            return
+        pairs = [nums[k] + nums[k + 1] for k in range(top)]
+        assert pair_concentration(params) == Fraction(max(pairs), denom)
+        assert pairs[(top - 1) // 2] == max(pairs)
