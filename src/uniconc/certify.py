@@ -1,10 +1,11 @@
 """Certified comparison of exact rationals against irrational bound values.
 
 Endpoints are dyadic rationals (integer mantissa times a power of two), so
-halving, doubling and comparison are exact and the only rounding ever applied
-is an explicit outward rounding to a requested number of significant bits.
-Every interval operation returns an enclosure of the exact real result; a
-comparison verdict therefore cannot be flipped by rounding error.
+comparison is exact.  Every certified endpoint is one exact integer
+expression rounded once outward to a requested number of significant bits:
+a root by one ``isqrt`` (``_sqrt_ratio``), a sum or a margin by one
+``_round_ratio``.  Each enclosure therefore holds the exact real value, and a
+verdict cannot be flipped by rounding error.
 """
 
 from __future__ import annotations
@@ -61,45 +62,36 @@ class Dyadic:
             return Fraction(self.man << self.exp, 1)
         return Fraction(self.man, 1 << -self.exp)
 
-    def _cmp(self, other: "Dyadic") -> int:
+    def __lt__(self, other: "Dyadic") -> bool:
         a, b = self.man, other.man
         if self.exp >= other.exp:
             a <<= self.exp - other.exp
         else:
             b <<= other.exp - self.exp
-        return (a > b) - (a < b)
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
+        return a < b
 
     @property
     def sign(self) -> int:
         return (self.man > 0) - (self.man < 0)
 
 
-def _round_ratio(num: int, den: int, bits: int, up: bool) -> Dyadic:
+def _round_ratio(num: int, den: int, bits: int, up: bool, reduce: bool = True) -> Dyadic:
     """Directed rounding of num/den (den > 0) to about ``bits`` significant bits.
 
     Rounding toward +inf when ``up`` else toward -inf.  Never rounds a nonzero
     value to zero, since rounding acts on the mantissa only.  The exponent is
     taken from num/den in lowest terms, as ``Fraction`` keeps them, so the
-    result depends on the value alone.
+    result depends on the value alone.  A common power of two shifts both bit
+    lengths alike, so a caller that knows num and den share no odd factor may
+    skip the gcd with ``reduce=False``.
     """
     if num == 0:
         return Dyadic(0, 0)
     if den <= 0:
         raise ValueError("denominator must be positive")
-    g = gcd(num, den)
-    num, den = num // g, den // g
+    if reduce:
+        g = gcd(num, den)
+        num, den = num // g, den // g
     neg = num < 0
     a = -num if neg else num
     # exponent such that the mantissa has roughly `bits` bits
@@ -117,28 +109,6 @@ def _round_ratio(num: int, den: int, bits: int, up: bool) -> Dyadic:
     if inexact and up:
         q += 1
     return Dyadic.normalized(q, e)
-
-
-def _round_dyadic(man: int, exp: int, bits: int, up: bool) -> Dyadic:
-    """Directed rounding of ``man * 2**exp``, bit-identical to
-    ``_round_ratio`` of the same value.
-
-    The exponent rule of ``_round_ratio`` on the reduced fraction is
-    ``bit_length(|man|) + exp - 1 - bits``, which does not depend on how many
-    trailing zeros ``man`` carries, so ``man`` need not be normalized.
-    """
-    if man == 0:
-        return Dyadic(0, 0)
-    neg = man < 0
-    a = -man if neg else man
-    e = a.bit_length() + exp - 1 - bits
-    shift = e - exp
-    if shift <= 0:  # fits in the target precision: exact
-        return Dyadic.normalized(man, exp)
-    q = a >> shift
-    if a & ((1 << shift) - 1) and up != neg:
-        q += 1
-    return Dyadic.normalized(-q if neg else q, e)
 
 
 def _sqrt_ratio(num: int, den: int, exp: int, bits: int, up: bool) -> Dyadic:
@@ -173,7 +143,7 @@ class Interval:
     hi: Dyadic
 
     def __post_init__(self):
-        if self.lo > self.hi:
+        if self.hi < self.lo:
             raise ValueError("interval endpoints out of order")
 
     @staticmethod
@@ -181,35 +151,22 @@ class Interval:
         d = Dyadic.normalized(v, 0)
         return Interval(d, d)
 
-    @staticmethod
-    def from_fraction(fr: Fraction | int, bits: int) -> "Interval":
-        num, den = fr.numerator, fr.denominator
-        if den & (den - 1) == 0:  # a power of two (1 for an int): exactly representable
-            d = Dyadic.normalized(num, -(den.bit_length() - 1))
-            return Interval(d, d)
-        return Interval(_round_ratio(num, den, bits, False), _round_ratio(num, den, bits, True))
 
-    # All arithmetic takes an explicit precision and rounds outward, so the
-    # result is always an enclosure of the exact set image.
-
-    def add(self, other: "Interval", bits: int) -> "Interval":
-        return Interval(
-            _round_dyadic(*_dyadic_sum(self.lo, other.lo), bits, False),
-            _round_dyadic(*_dyadic_sum(self.hi, other.hi), bits, True),
-        )
-
-    def neg(self) -> "Interval":
-        return Interval(Dyadic(-self.hi.man, self.hi.exp), Dyadic(-self.lo.man, self.lo.exp))
-
-    def sub(self, other: "Interval", bits: int) -> "Interval":
-        return self.add(other.neg(), bits)
+def _ratio(v: Fraction | int | Dyadic) -> tuple[int, int]:
+    """``v`` as an exact ``(num, den)`` with ``den > 0``."""
+    if isinstance(v, Dyadic):
+        return (v.man << v.exp, 1) if v.exp >= 0 else (v.man, 1 << -v.exp)
+    return v.numerator, v.denominator
 
 
-def _dyadic_sum(x: Dyadic, y: Dyadic) -> tuple[int, int]:
-    """The exact sum of two dyadics as an unnormalized ``(man, exp)``."""
-    if x.exp >= y.exp:
-        return (x.man << (x.exp - y.exp)) + y.man, y.exp
-    return x.man + (y.man << (y.exp - x.exp)), x.exp
+def _round_sum(x, y, sign: int, bits: int, up: bool) -> Dyadic:
+    """``x + sign*y`` for Fractions, ints or Dyadics ``x`` and ``y``: one exact
+    integer ratio, rounded once by ``_round_ratio``."""
+    (a, b), (c, d) = _ratio(x), _ratio(y)
+    # a Fraction is in lowest terms, so when the other denominator is a power
+    # of two the sum's numerator shares only powers of two with b*d
+    reduce = b & (b - 1) != 0 and d & (d - 1) != 0
+    return _round_ratio(a * d + sign * c * b, b * d, bits, up, reduce)
 
 
 # ---------------------------------------------------------------------------
@@ -311,18 +268,18 @@ def evaluate(bound: RootBound, precision_bits: int) -> Interval:
     bits = precision_bits + _GUARD_BITS
     pi_k = pi_enclosure(bits) if bound.k else Interval.point(1)
     r = bound.r
-    total = None
-    for coef, d in ((bound.a, 1), (bound.b, 3)):
-        if not coef:
-            continue
-        num = coef.numerator**2 * r.numerator
-        den = coef.denominator**2 * r.denominator * d
-        root = Interval(
-            _sqrt_ratio(num, den * pi_k.hi.man, -pi_k.hi.exp, bits, False),
-            _sqrt_ratio(num, den * pi_k.lo.man, -pi_k.lo.exp, bits, True),
-        )
-        total = root if total is None else total.add(root, bits)
-    return total
+    terms = [
+        (coef.numerator**2 * r.numerator, coef.denominator**2 * r.denominator * d)
+        for coef, d in ((bound.a, 1), (bound.b, 3))
+        if coef
+    ]
+
+    def end(up: bool) -> Dyadic:
+        pi = pi_k.lo if up else pi_k.hi
+        roots = [_sqrt_ratio(num, den * pi.man, -pi.exp, bits, up) for num, den in terms]
+        return roots[0] if len(roots) == 1 else _round_sum(*roots, 1, bits, up)
+
+    return Interval(end(False), end(True))
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +304,21 @@ class Verdict:
     margin: Interval
 
 
-def _as_interval(v: Fraction | int | Interval, bits: int) -> Interval:
-    return v if isinstance(v, Interval) else Interval.from_fraction(v, bits)
+def _ends(v: Fraction | int | Interval) -> tuple:
+    return (v.lo, v.hi) if isinstance(v, Interval) else (v, v)
 
 
 def verdict_between(lhs, rhs, precision_bits: int) -> Verdict:
-    """Certify lhs < rhs where each side is a Fraction, an int or an Interval."""
+    """Certify lhs < rhs where each side is a Fraction, an int or an Interval.
+
+    Each end of the margin is one exact endpoint difference, rhs.lo - lhs.hi
+    below and rhs.hi - lhs.lo above, rounded once outward.
+    """
     bits = precision_bits + _GUARD_BITS
-    margin = _as_interval(rhs, bits).sub(_as_interval(lhs, bits), bits)
+    (lhs_lo, lhs_hi), (rhs_lo, rhs_hi) = _ends(lhs), _ends(rhs)
+    margin = Interval(
+        _round_sum(rhs_lo, lhs_hi, -1, bits, False), _round_sum(rhs_hi, lhs_lo, -1, bits, True)
+    )
     if margin.lo.sign > 0:
         outcome = Outcome.HOLDS
     elif margin.hi.sign < 0:
@@ -362,4 +326,3 @@ def verdict_between(lhs, rhs, precision_bits: int) -> Verdict:
     else:
         outcome = Outcome.INCONCLUSIVE
     return Verdict(outcome, margin)
-

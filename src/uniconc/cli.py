@@ -108,8 +108,12 @@ def _add_sweep_args(p: argparse.ArgumentParser) -> None:
 
 
 def _read_config_file(path: str) -> dict[str, str]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"config file {path} is not UTF-8: {exc}") from None
     values: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

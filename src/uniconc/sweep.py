@@ -96,6 +96,9 @@ class SweepConfig:
         bad = set(self.checks) - set(CHECKS)
         if bad or not self.checks:
             raise ParameterError(f"unknown checks: {sorted(bad)}; valid: {CHECKS}")
+        if len(set(self.checks)) < len(self.checks):
+            repeated = sorted({c for c in self.checks if self.checks.count(c) > 1})
+            raise ParameterError(f"repeated checks: {repeated}")
         _check_precision(self.precision_bits)
         if self.output_format not in ("csv", "json"):
             raise ParameterError(f"format must be csv or json, got {self.output_format}")

@@ -395,6 +395,29 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: unknown config key 'n-range'")
 
+    def test_config_file_not_utf8_exits_usage(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_bytes(b"ell_range=2:2\xff\n")
+        assert main(["verify", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: config file {cfg} is not UTF-8")
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_repeated_check_exits_usage(self, tmp_path, capsys, via):
+        # a repeated check would write every row of it twice
+        grid = ["--ell-range", "2:2", "--n-range", "1:2"]
+        if via == "flag":
+            argv = ["verify", "--checks", "main,moments,main", *grid]
+        else:
+            cfg = tmp_path / "sweep.cfg"
+            cfg.write_text("checks=main,moments,main\n")
+            argv = ["verify", "--config", str(cfg), *grid]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: repeated checks: ['main']\n"
+
     def test_io_error_exit_code(self, tmp_path):
         code = main(
             ["verify", "--ell-range", "2:2", "--n-range", "1:1", "--checks", "main",
@@ -628,20 +651,37 @@ class TestGoldenReport:
         assert report_to_json_bytes(report) == (self.GOLDEN / "criterion12.json").read_bytes()
 
     def test_certified_columns_enclose_mpmath_reference(self, report):
-        checked = 0
-        for cell in report.cells:
-            if cell.check not in ("main", "corollary", "dsequence", "wallis", "bessel_chain"):
-                continue
-            bound = reference_bound(cell.check, cell.ell, cell.n)
-            margin = bound - Fraction(cell.exact_fraction)
-            if cell.check == "bessel_chain":
-                # pair < G(2n/3) < bound; the margin is the smaller side's
-                g = reference_G(Fraction(2 * cell.n, 3))
-                margin = min(g - Fraction(cell.exact_fraction), bound - g)
-            assert rendered(cell.bound_lo, -1) <= bound <= rendered(cell.bound_hi, 1), cell
-            assert rendered(cell.margin_lo, -1) <= margin <= rendered(cell.margin_hi, 1), cell
-            checked += 1
-        assert checked == 460
+        assert enclosed_reference_cells(report) == 460
+
+    def test_64_bit_columns_enclose_reference_and_keep_decided_verdicts(self, report):
+        # 64 bits, the lowest precision, is where rounding shows most in the
+        # margins; a decided verdict must not depend on the precision
+        low = run_sweep(SweepConfig((2, 8), (1, 20), CHECKS, 64))
+        assert enclosed_reference_cells(low) == 460
+        assert len(low.cells) == len(report.cells)
+        for a, b in zip(low.cells, report.cells):
+            assert (a.ell, a.n, a.check) == (b.ell, b.n, b.check)
+            if a.verdict != "Inconclusive":
+                assert a.verdict == b.verdict, (a, b)
+
+
+def enclosed_reference_cells(report) -> int:
+    """Assert that every certified bound and margin of ``report`` encloses
+    the mpmath reference; return how many cells were checked."""
+    checked = 0
+    for cell in report.cells:
+        if cell.check not in ("main", "corollary", "dsequence", "wallis", "bessel_chain"):
+            continue
+        bound = reference_bound(cell.check, cell.ell, cell.n)
+        margin = bound - Fraction(cell.exact_fraction)
+        if cell.check == "bessel_chain":
+            # pair < G(2n/3) < bound; the margin is the smaller side's
+            g = reference_G(Fraction(2 * cell.n, 3))
+            margin = min(g - Fraction(cell.exact_fraction), bound - g)
+        assert rendered(cell.bound_lo, -1) <= bound <= rendered(cell.bound_hi, 1), cell
+        assert rendered(cell.margin_lo, -1) <= margin <= rendered(cell.margin_hi, 1), cell
+        checked += 1
+    return checked
 
 
 def frac_of_mpf(x) -> Fraction:
