@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .certify import _GUARD_BITS, Interval, RootBound, _check_precision, _round_ratio
+from .certify import _GUARD_BITS, Interval, RootBound, _check_precision, _div, _round_ratio
 from .errors import ParameterError, check_int
 
 __all__ = [
@@ -74,16 +74,12 @@ def bessel_chain_expr(n: int) -> RootBound:
 # G(lambda) = exp(-lambda) * (I0(lambda) + I1(lambda))
 # ---------------------------------------------------------------------------
 
-def _div(a: int, b: int, up: bool) -> int:
-    """a / b (b > 0) rounded up or down to an integer."""
-    return -(-a // b) if up else a // b
-
-
 def _series(num: int, den, first: int, up: bool) -> int:
     """sum_m t_m with t_0 = ``first`` and t_m = t_{m-1} * num / den(m), for
     num >= 0 and den(m) > 0 increasing in m; every term is rounded in the
-    direction ``up``.  Summation stops once t_m <= 1 and every later ratio is
-    below 1/2; the tail is then below t_m, and the upper chain adds 2*t_m."""
+    direction ``up`` by ``certify._div``.  Summation stops once t_m <= 1 and
+    every later ratio is below 1/2; the tail is then below t_m, and the upper
+    chain adds 2*t_m."""
     total = term = first
     m = 1
     while True:
@@ -101,10 +97,11 @@ def bessel_G(lam, precision_bits: int) -> Interval:
     With x = lam**2/4, I0 = sum x**m / m!**2, I1 = (lam/2) sum x**m /
     (m! (m+1)!) and exp(lam) = sum lam**k / k!.  ``_series`` sums each in
     fixed point at scale 2**w, w = precision_bits + _GUARD_BITS, once as a
-    lower and once as an upper chain.  Rigour: the lower chain floors every
-    term and drops the tail, and floors only lower; the upper chain ceils
-    every term and adds 2*t_m for the tail, and ceilings only raise; once
-    every later ratio is below 1/2 the tail is geometric and below t_m.
+    lower and once as an upper chain (``certify._div``).  Rigour: the lower
+    chain floors every term and drops the tail, and floors only lower; the
+    upper chain ceils every term, which only raises, and adds 2*t_m for the
+    tail; once every later ratio is below 1/2 the tail is geometric and
+    below t_m.
     Width: the partial sums of I0 + I1 and of exp are at least 1 (2**w
     scaled), so each unit of rounding error is a relative error of at most
     2**-w.  G is the lower I0 + I1 over the upper exp and the upper over the

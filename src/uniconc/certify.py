@@ -14,7 +14,7 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 from .errors import DomainError, ExpressionError, check_int
 
@@ -75,39 +75,29 @@ class Dyadic:
         return (self.man > 0) - (self.man < 0)
 
 
-def _round_ratio(num: int, den: int, bits: int, up: bool, reduce: bool = True) -> Dyadic:
-    """Directed rounding of num/den (den > 0) to about ``bits`` significant bits.
+def _div(a: int, b: int, up: bool) -> int:
+    """a / b (b > 0) rounded up or down to an integer, at either sign."""
+    return -(-a // b) if up else a // b
 
-    Rounding toward +inf when ``up`` else toward -inf.  Never rounds a nonzero
-    value to zero, since rounding acts on the mantissa only.  The exponent is
-    taken from num/den in lowest terms, as ``Fraction`` keeps them, so the
-    result depends on the value alone.  A common power of two shifts both bit
-    lengths alike, so a caller that knows num and den share no odd factor may
-    skip the gcd with ``reduce=False``.
+
+def _round_ratio(num: int, den: int, bits: int, up: bool) -> Dyadic:
+    """num/den (den > 0) rounded toward +inf when ``up``, else toward -inf.
+
+    The exponent comes from the exact magnitude 2**m <= |num/den| < 2**(m+1),
+    so the mantissa before rounding lies in [2**bits, 2**(bits+1)): the result
+    depends on the value alone and is nonzero for a nonzero value.
     """
     if num == 0:
         return Dyadic(0, 0)
     if den <= 0:
         raise ValueError("denominator must be positive")
-    if reduce:
-        g = gcd(num, den)
-        num, den = num // g, den // g
-    neg = num < 0
-    a = -num if neg else num
-    # exponent such that the mantissa has roughly `bits` bits
-    e = a.bit_length() - den.bit_length() - bits
-    if e >= 0:
-        q, r = divmod(a, den << e)
-    else:
-        q, r = divmod(a << -e, den)
-    inexact = r != 0
-    if neg:
-        # value is -(q + r/den'); toward -inf means growing the magnitude
-        if inexact and not up:
-            q += 1
-        return Dyadic.normalized(-q, e)
-    if inexact and up:
-        q += 1
+    a = abs(num)
+    # 2**(m-1) < a/den < 2**(m+1); one comparison picks the half
+    m = a.bit_length() - den.bit_length()
+    if a << max(-m, 0) < den << max(m, 0):
+        m -= 1
+    e = m - bits
+    q = _div(num, den << e, up) if e >= 0 else _div(num << -e, den, up)
     return Dyadic.normalized(q, e)
 
 
@@ -122,9 +112,7 @@ def _sqrt_ratio(num: int, den: int, exp: int, bits: int, up: bool) -> Dyadic:
     """
     s = 2 * bits + 2 - num.bit_length() + den.bit_length()
     s += (s - exp) & 1
-    q, rem = divmod(num << s, den) if s >= 0 else divmod(num, den << -s)
-    if up and rem:
-        q += 1
+    q = _div(num << s, den, up) if s >= 0 else _div(num, den << -s, up)
     root = isqrt(q)
     if up and root * root != q:
         root += 1
@@ -163,10 +151,7 @@ def _round_sum(x, y, sign: int, bits: int, up: bool) -> Dyadic:
     """``x + sign*y`` for Fractions, ints or Dyadics ``x`` and ``y``: one exact
     integer ratio, rounded once by ``_round_ratio``."""
     (a, b), (c, d) = _ratio(x), _ratio(y)
-    # a Fraction is in lowest terms, so when the other denominator is a power
-    # of two the sum's numerator shares only powers of two with b*d
-    reduce = b & (b - 1) != 0 and d & (d - 1) != 0
-    return _round_ratio(a * d + sign * c * b, b * d, bits, up, reduce)
+    return _round_ratio(a * d + sign * c * b, b * d, bits, up)
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +186,13 @@ def _arctan_recip_bounds(q: int, bits: int) -> tuple[int, int]:
 
 
 def pi_enclosure(precision_bits: int) -> Interval:
-    """Interval of width at most 2**-precision_bits containing pi.
+    """Interval of width at most 2**-precision_bits containing pi, for 8 up
+    to the most ``evaluate`` asks for, _MAX_PRECISION_BITS + _GUARD_BITS.
 
     Machin's identity pi = 16*arctan(1/5) - 4*arctan(1/239), each arctangent
     bounded by its alternating series.  Results are cached per precision.
     """
-    check_int("precision_bits", precision_bits, 8)
+    check_int("precision_bits", precision_bits, 8, _MAX_PRECISION_BITS + _GUARD_BITS)
     with _pi_lock:
         cached = _pi_cache.get(precision_bits)
     if cached is not None:

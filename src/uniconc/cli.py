@@ -48,9 +48,10 @@ _CONFIG_KEYS = ("ell_range", "n_range", "checks", "precision_bits", "format", "o
 
 
 def _parse_range(text: str) -> tuple[int, int]:
+    # without a colon hi is empty, so a bare number fails too
+    lo, _, hi = text.partition(":")
     try:
-        lo, _, hi = text.partition(":")
-        return (int(lo), int(hi if hi else lo))
+        return int(lo), int(hi)
     except ValueError:
         raise ParameterError(f"expected a range A:B, got {text!r}") from None
 

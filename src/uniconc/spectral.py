@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, ParameterError, check_int
 
 __all__ = [
-    "SplitParams",
     "QuadratureResult",
     "charfn_kernel",
     "fourier_pmf",
@@ -37,33 +36,6 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 _SERIES_CROSSOVER = 1e-4
 
 _MAX_PANELS = 1 << 22
-
-
-@dataclass(frozen=True)
-class SplitParams:
-    """Lattice size, power, and the parity offset of the central point.
-
-    ``alpha`` is n*(ell-1) - 2*floor(n*(ell-1)/2), i.e. the parity of the
-    support width, and is the cosine frequency left over after centering the
-    inversion integral on the peak.
-    """
-
-    ell: int
-    n: int
-    alpha: int
-
-    def __post_init__(self):
-        check_int("ell", self.ell, 2)
-        check_int("n", self.n, 1)
-        expected = self.n * (self.ell - 1) % 2
-        if self.alpha != expected:
-            raise ParameterError(
-                f"alpha must be {expected} for ell={self.ell}, n={self.n}, got {self.alpha}"
-            )
-
-    @staticmethod
-    def for_lattice(ell: int, n: int) -> "SplitParams":
-        return SplitParams(ell, n, (n * (ell - 1)) % 2)
 
 
 @dataclass(frozen=True)
@@ -156,16 +128,20 @@ def fourier_pmf(ell: int, n: int, k: int, tol: float = 1e-10) -> QuadratureResul
 
 
 def split_integrals(
-    params: SplitParams, tol: float = 1e-10
+    ell: int, n: int, tol: float = 1e-10
 ) -> tuple[QuadratureResult, QuadratureResult]:
     """The inversion integral for the central point, split at t = pi/ell.
 
     Returns the inner part over [0, pi/ell] and the outer part over
     [pi/ell, pi/2]; their sum reproduces the maximal probability.  For
     ell = 2 the outer interval is empty and the second result is zero.
+    The cosine frequency left after centering on the peak is the parity
+    alpha = n*(ell-1) mod 2 of the support width.
     """
+    check_int("ell", ell, 2)
+    check_int("n", n, 1)
     _check_tol(tol)
-    ell, n, alpha = params.ell, params.n, params.alpha
+    alpha = n * (ell - 1) % 2
 
     def integrand(t):
         return (2 / math.pi) * _kernel_array(ell, t) ** n * np.cos(alpha * t)

@@ -32,7 +32,7 @@ from uniconc.exactdist import (
     pair_concentration,
     power,
 )
-from uniconc.spectral import SplitParams, fourier_pmf, split_integrals
+from uniconc.spectral import fourier_pmf, split_integrals
 from uniconc.sweep import (
     CHECKS,
     SweepConfig,
@@ -160,7 +160,7 @@ def test_criterion_07_fourier_oracle():
             for k in range(params.top + 1):
                 approx = fourier_pmf(ell, n, k, 1e-11).value
                 worst = max(worst, abs(approx - float(d.pmf(k))))
-            inner, outer = split_integrals(SplitParams.for_lattice(ell, n), 1e-11)
+            inner, outer = split_integrals(ell, n, 1e-11)
             exact_c = float(concentration(params))
             worst = max(worst, abs(inner.value + outer.value - exact_c))
             if n % 2 == 1:

@@ -5,7 +5,7 @@ from math import floor, isqrt
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uniconc import certify
@@ -91,11 +91,44 @@ class TestRounding:
         num, den = x.numerator, x.denominator
         down, up = (_round_ratio(num * scale, den * scale, bits, u) for u in (False, True))
         assert (down, up) == tuple(_round_ratio(num, den, bits, u) for u in (False, True))
-        # a common power of two leaves the result unchanged without the gcd
-        shift = scale.bit_length()
-        assert _round_ratio(num << shift, den << shift, bits, False, reduce=False) == down
         assert down.as_fraction() <= x <= up.as_fraction()
         assert up.as_fraction() - down.as_fraction() <= abs(x) / 2 ** (bits - 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=st.fractions(max_denominator=2**320).filter(bool),
+        factor=st.integers(0, 2**64).map(lambda k: 2 * k + 1),
+        bits=st.integers(1, 256),
+    )
+    # 2**p and one unit of 2**-300 either side, where bit lengths misjudge
+    # the binary magnitude once an odd factor scales num and den
+    @example(x=Fraction(2) ** 300 - Fraction(1, 2**300), factor=3, bits=53)
+    @example(x=Fraction(2) ** 300, factor=3, bits=53)
+    @example(x=-(Fraction(2) ** 300 + Fraction(1, 2**300)), factor=5, bits=53)
+    @example(x=Fraction(1) - Fraction(1, 2**300), factor=3, bits=1)
+    @example(x=-Fraction(1), factor=7, bits=8)
+    @example(x=-(Fraction(1) + Fraction(1, 2**300)), factor=3, bits=256)
+    @example(x=Fraction(2) ** -299 - Fraction(1, 2**300), factor=3, bits=64)
+    @example(x=-Fraction(2) ** -300, factor=2**64 + 1, bits=64)
+    @example(x=Fraction(2) ** -300 + Fraction(1, 2**300), factor=3, bits=1)
+    def test_exponent_from_the_exact_magnitude(self, x, factor, bits):
+        """Each end is directed, lies on the grid 2**(m - bits) where
+        2**m <= |x| < 2**(m+1), with a mantissa in [2**bits, 2**(bits+1)], and
+        depends on x alone however num and den are scaled."""
+        m = x.numerator.bit_length() - x.denominator.bit_length()
+        while Fraction(2) ** m > abs(x):
+            m -= 1
+        while Fraction(2) ** (m + 1) <= abs(x):
+            m += 1
+        num, den = x.numerator * factor, x.denominator * factor
+        for up in (False, True):
+            got = _round_ratio(num, den, bits, up)
+            assert got == _round_ratio(x.numerator, x.denominator, bits, up)
+            value = got.as_fraction()
+            assert value >= x if up else value <= x
+            mantissa = value / Fraction(2) ** (m - bits)
+            assert mantissa.denominator == 1
+            assert 2**bits <= abs(mantissa) <= 2 ** (bits + 1)
 
 
 class TestIntervalOps:
@@ -213,6 +246,18 @@ class TestPi:
     def test_minimum_precision(self):
         with pytest.raises(ParameterError):
             pi_enclosure(4)
+
+    def test_cap_refused_before_the_series(self, monkeypatch):
+        # evaluate asks for at most _MAX_PRECISION_BITS + _GUARD_BITS
+        for bits in (16, 53):
+            assert contains(pi_enclosure(bits), PI_REF)
+
+        def refuse(q, bits):
+            raise AssertionError(f"arctan(1/{q}) series started at {bits} bits")
+
+        monkeypatch.setattr(certify, "_arctan_recip_bounds", refuse)
+        with pytest.raises(ParameterError):
+            pi_enclosure(certify._MAX_PRECISION_BITS + certify._GUARD_BITS + 1)
 
 
 class TestRootBound:

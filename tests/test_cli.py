@@ -237,7 +237,7 @@ FORMER_ROOT_EXPORTS = {
         "de_moivre_pmf", "moments", "pair_concentration", "power",
     ),
     "spectral": (
-        "QuadratureResult", "SplitParams", "charfn_kernel", "chebyshev_lemma_check",
+        "QuadratureResult", "charfn_kernel", "chebyshev_lemma_check",
         "fourier_pmf", "i1_majorant", "i2_majorant", "split_integrals", "wallis_integral",
     ),
     "sweep": ("SweepCell", "SweepConfig", "SweepReport", "SweepSummary", "run_sweep"),
@@ -417,6 +417,21 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: repeated checks: ['main']\n"
+
+    @pytest.mark.parametrize("text", ["2:", "5", ":3"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_range_not_a_to_b_exits_usage(self, tmp_path, capsys, via, text):
+        # a missing end must not be read as a one-point range
+        if via == "flag":
+            argv = ["verify", "--ell-range", "2:2", "--n-range", text]
+        else:
+            cfg = tmp_path / "sweep.cfg"
+            cfg.write_text(f"ell_range=2:2\nn_range={text}\n")
+            argv = ["verify", "--config", str(cfg)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: expected a range A:B, got {text!r}\n"
 
     def test_io_error_exit_code(self, tmp_path):
         code = main(

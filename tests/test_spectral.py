@@ -10,7 +10,6 @@ from uniconc.errors import ConvergenceError, DomainError, ParameterError
 from uniconc.exactdist import LatticeParams, concentration, power
 from uniconc.spectral import (
     QuadratureResult,
-    SplitParams,
     charfn_kernel,
     chebyshev_lemma_check,
     fourier_pmf,
@@ -23,16 +22,15 @@ from uniconc.spectral import (
 
 class TestSplitParams:
     def test_alpha_is_support_parity(self):
-        assert SplitParams.for_lattice(3, 3).alpha == 0  # 3*2 even
-        assert SplitParams.for_lattice(2, 3).alpha == 1  # 3*1 odd
-
-    def test_wrong_alpha_rejected(self):
-        with pytest.raises(ParameterError):
-            SplitParams(3, 3, 1)
+        # the wrong cosine frequency would miss the peak on both lattices
+        inner, outer = split_integrals(3, 3, 1e-11)  # 3*2 even: alpha = 0
+        assert inner.value + outer.value == pytest.approx(7 / 27, abs=1e-10)
+        inner, outer = split_integrals(2, 3, 1e-11)  # 3*1 odd: alpha = 1
+        assert inner.value + outer.value == pytest.approx(3 / 8, abs=1e-10)
 
     def test_bad_lattice(self):
         with pytest.raises(ParameterError):
-            SplitParams(1, 3, 0)
+            split_integrals(1, 3)
 
 
 class TestKernel:
@@ -101,23 +99,23 @@ class TestFourierPmf:
 
 class TestSplitIntegrals:
     def test_two_square_sum(self):
-        inner, outer = split_integrals(SplitParams.for_lattice(2, 2), 1e-11)
+        inner, outer = split_integrals(2, 2, 1e-11)
         assert outer.value == 0.0  # split point coincides with the endpoint
         assert inner.value == pytest.approx(0.5, abs=1e-10)
 
     def test_three_cubed(self):
-        inner, outer = split_integrals(SplitParams.for_lattice(3, 3), 1e-11)
+        inner, outer = split_integrals(3, 3, 1e-11)
         assert inner.value + outer.value == pytest.approx(7 / 27, abs=1e-10)
         assert outer.value <= 1e-10  # odd power: the outer part is not positive
 
     def test_degenerate_outer_interval(self):
-        _, outer = split_integrals(SplitParams.for_lattice(2, 1), 1e-11)
+        _, outer = split_integrals(2, 1, 1e-11)
         assert outer == QuadratureResult(0.0, 0.0, 0)
 
     @pytest.mark.parametrize("ell", [3, 5, 8])
     @pytest.mark.parametrize("n", [1, 2, 7, 12])
     def test_reproduces_concentration(self, ell, n):
-        inner, outer = split_integrals(SplitParams.for_lattice(ell, n), 1e-11)
+        inner, outer = split_integrals(ell, n, 1e-11)
         exact = float(concentration(LatticeParams(ell, n)))
         assert inner.value + outer.value == pytest.approx(exact, abs=1e-10)
 
@@ -147,7 +145,7 @@ class TestMajorants:
         # the rescaled inner integral stays below its closed-form majorant
         # and the outer integral below its own
         for n in range(1, 31):
-            inner, outer = split_integrals(SplitParams.for_lattice(ell, n), 1e-11)
+            inner, outer = split_integrals(ell, n, 1e-11)
             scale = math.sqrt(math.pi * (ell * ell - 1) * n / 6)
             assert scale * inner.value <= i1_majorant(ell, n) + 1e-9
             assert outer.value <= i2_majorant(ell, n) + 1e-9
@@ -218,7 +216,7 @@ class TestToleranceCheck:
 
     CALLS = {
         "fourier_pmf": lambda tol: fourier_pmf(3, 4, 4, tol),
-        "split_integrals": lambda tol: split_integrals(SplitParams.for_lattice(3, 4), tol),
+        "split_integrals": lambda tol: split_integrals(3, 4, tol),
         "wallis_integral": lambda tol: wallis_integral(0.5, tol),
         "chebyshev_lemma_check": lambda tol: chebyshev_lemma_check(
             lambda x: np.ones_like(x), lambda x: x**2, 1.0, tol
