@@ -45,9 +45,9 @@ def clt_ratio(ell: int, n: int) -> float:
 def local_clt_sup_dev(ell: int, n: int) -> float:
     """Sup over k of |sqrt(n)*pmf(k) - normal density at the matching point|.
 
-    The scan covers [-n(ell-1), 2n(ell-1)]; outside the support the pmf term
-    is zero and only the Gaussian tail contributes, which is dominated by the
-    on-support maximum.
+    Off the support only the Gaussian term counts, and it falls away from
+    the mean, so its supremum there sits at k = -1 and k = n(ell-1) + 1;
+    the scan covers [-1, n(ell-1) + 1].
     """
     _check(ell, n)
     d = power(LatticeParams(ell, n))
@@ -60,7 +60,7 @@ def local_clt_sup_dev(ell: int, n: int) -> float:
         norm = 1 / (sigma * mpmath.sqrt(2 * mpmath.pi))
         mp_denom = mpmath.mpf(denom)
         sup = mpmath.mpf(0)
-        for k in range(-top, 2 * top + 1):
+        for k in range(-1, top + 2):
             z = (k - n * mu) / (sigma * sqrt_n)
             gauss = norm * mpmath.exp(-z * z / 2)
             if 0 <= k <= top:

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import comb, perm
-from operator import mul, sub
+from operator import mul
 
 from .errors import ParameterError, check_int
 
@@ -84,25 +83,24 @@ class ExactDensity:
 
 
 def power(params: LatticeParams) -> ExactDensity:
-    """n-fold self-convolution of the uniform density, by the sliding-window
-    recurrence ``pmf_{m+1}[k] = sum_{j<ell} pmf_m[k-j]``.
-
-    Each step takes one window difference of running sums per point, so it
-    costs O(support) big-integer additions.  Every row is symmetric about its
-    center; only the lower half is computed and the rest mirrored.
+    """n-fold self-convolution of the uniform density, by a three-term
+    recurrence in k.  ``P(x) = ((1-x**ell)/(1-x))**n`` solves
+    ``(1-x)(1-x**ell) P' = n[(1-x**ell) - ell x**(ell-1)(1-x)] P``, so its
+    coefficients, with a[0] = 1 and a[j] = 0 for j < 0, obey
+    ``(k+1) a[k+1] = (k+n) a[k] + (k+1-ell-n*ell) a[k+1-ell]
+    + (n*(ell-1)+ell-k) a[k-ell]``, the division being exact.  Each point
+    costs O(1) big-integer steps; the lower half is computed and mirrored.
     """
-    ell, n = params.ell, params.n
-    row = [1] * ell
-    for m in range(2, n + 1):
-        size = m * (ell - 1) + 1
-        half = (size + 1) // 2
-        # lower[k] = prefix[k+1] - prefix[k+1-ell], the window clipped at 0
-        # for k < ell - 1; for m >= 2 the lower half never reaches past the
-        # previous row's support, so the right end needs no clipping
-        prefix = [0, *accumulate(row[:half])]
-        lower = prefix[1:ell] + list(map(sub, prefix[ell:], prefix))
-        row = lower + lower[: size // 2][::-1]
-    return ExactDensity(params, tuple(row))
+    ell, n, top = params.ell, params.n, params.top
+    a = [1]
+    for k in range(top // 2):
+        nxt = (k + n) * a[k]
+        if k + 1 >= ell:
+            nxt += (k + 1 - ell - n * ell) * a[k + 1 - ell]
+        if k >= ell:
+            nxt += (n * (ell - 1) + ell - k) * a[k - ell]
+        a.append(nxt // (k + 1))
+    return ExactDensity(params, tuple(a + a[: (top + 1) // 2][::-1]))
 
 
 def de_moivre_pmf(params: LatticeParams, k: int) -> Fraction:

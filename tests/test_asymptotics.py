@@ -2,11 +2,38 @@
 
 import math
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uniconc.asymptotics import clt_ratio, local_clt_sup_dev
 from uniconc.errors import ParameterError
-from uniconc.exactdist import LatticeParams, concentration
+from uniconc.exactdist import LatticeParams, concentration, power
+
+
+def full_scan_sup_dev(ell: int, n: int) -> float:
+    """The supremum over the wide window [-n(ell-1), 2n(ell-1)], with the
+    same arithmetic as :func:`local_clt_sup_dev`."""
+    d = power(LatticeParams(ell, n))
+    top = d.params.top
+    with mpmath.workprec(128):
+        sqrt_n = mpmath.sqrt(n)
+        mu = mpmath.mpf(ell - 1) / 2
+        sigma = mpmath.sqrt(mpmath.mpf(ell * ell - 1) / 12)
+        norm = 1 / (sigma * mpmath.sqrt(2 * mpmath.pi))
+        mp_denom = mpmath.mpf(d.denominator)
+        sup = mpmath.mpf(0)
+        for k in range(-top, 2 * top + 1):
+            z = (k - n * mu) / (sigma * sqrt_n)
+            gauss = norm * mpmath.exp(-z * z / 2)
+            if 0 <= k <= top:
+                dev = abs(sqrt_n * mpmath.mpf(d.numerators[k]) / mp_denom - gauss)
+            else:
+                dev = gauss
+            if dev > sup:
+                sup = dev
+        return float(sup)
 
 
 class TestCltRatio:
@@ -50,3 +77,10 @@ class TestSupDeviation:
         with pytest.raises(ParameterError):
             local_clt_sup_dev(1, 5)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=2, max_value=12), st.integers(min_value=1, max_value=60))
+    @example(2, 1)
+    @example(12, 1)
+    @example(2, 60)
+    def test_narrow_scan_equals_the_wide_one(self, ell, n):
+        assert local_clt_sup_dev(ell, n) == full_scan_sup_dev(ell, n)

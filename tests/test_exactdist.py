@@ -1,12 +1,13 @@
 """Exact-distribution layer: frozen examples, exhaustive small-grid
-invariants and property tests of the prefix-sum recurrence and of
-de Moivre's stepped sums."""
+invariants and property tests of the three-term recurrence in k behind
+``power`` (against a direct fold and against de Moivre's sums, up to
+ell = 60 and n = 400) and of de Moivre's stepped sums."""
 
 from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uniconc import exactdist
@@ -317,6 +318,26 @@ class TestPowerProperties:
             st.lists(st.integers(min_value=-3, max_value=params.top + 3), min_size=1, max_size=8)
         )
         for k in ks + [params.top // 2]:
+            assert de_moivre_pmf(params, k) == d.pmf(k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.builds(
+            LatticeParams,
+            ell=st.integers(min_value=1, max_value=60),
+            n=st.integers(min_value=1, max_value=400),
+        ),
+        st.lists(st.integers(min_value=0, max_value=59 * 400), max_size=4),
+    )
+    # ell > n, where the lagged terms start near or past the center
+    @example(LatticeParams(40, 2), [38, 40, 41])
+    @example(LatticeParams(60, 3), [59, 60, 61, 87])
+    @example(LatticeParams(60, 1), [0, 59])
+    @example(LatticeParams(60, 400), [1, 59, 60, 61, 11799])
+    def test_matches_de_moivre_on_large_lattices(self, params, ks):
+        d = power(params)
+        # points drawn over the largest support, folded into this one
+        for k in [k % params.support_size for k in ks] + [params.top // 2]:
             assert de_moivre_pmf(params, k) == d.pmf(k)
 
     @settings(max_examples=60, deadline=None)
