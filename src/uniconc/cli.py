@@ -184,8 +184,10 @@ def _cmd_pmf(args) -> int:
         nums = de_moivre_numerators(params)
     else:
         nums = power(params).numerators
+    # the denominator is converted to text once, not once per line
+    tail = f"/{denom}"
     for k, num in enumerate(nums):
-        print(f"{k} {num}/{denom}")
+        print(f"{k} {num}{tail}")
     return EXIT_OK
 
 

@@ -112,27 +112,31 @@ def de_moivre_pmf(params: LatticeParams, k: int) -> Fraction:
     support the surviving terms cancel to an exact zero; for k < 0 the empty
     sum gives zero.
 
-    Only the first term takes a ``comb``; each later one follows by exact
-    steps, ``C(n, j+1) = C(n, j)*(n-j)/(j+1)`` and, with ``m = n+k-ell*j-1``
-    and ``r = n-1``, ``C(m-ell, r) = C(m, r)*perm(m-r, ell)/perm(m, ell)``,
-    or equally ``C(m, r)*perm(m-ell, r)/perm(m, r)``; the shorter product is
-    taken.  Both quotients are binomials, so the floor divisions are exact.
+    Only the first term takes a ``comb``; each later one follows from the
+    one before by its own ratio.  With ``m = n+k-ell*(j-1)-1`` and
+    ``r = n-1``, the term ``t_j = C(n, j)*C(m-ell, r)`` is
+    ``t_{j-1}*((n-j+1)*num) // (j*den)``, where ``num/den`` is
+    ``C(m-ell, r)/C(m, r)``: ``perm(m-r, ell)/perm(m, ell)``, or equally
+    ``perm(m-ell, r)/perm(m, r)``, whichever product is shorter.  The floor
+    division is exact, because ``t_{j-1}*(n-j+1)*num == t_j*j*den`` and
+    ``t_j`` is an integer.  Every ``perm`` argument is >= 0: the loop runs
+    only while ``ell*j <= k``, so ``m-ell = n-1+k-ell*j >= r >= 0`` and
+    ``m-r = k-ell*(j-1) >= ell``, and with ``m >= r+ell`` neither ``den`` is
+    zero.
     """
     if k < 0:
         return Fraction(0)
     ell, n = params.ell, params.n
     r, m = n - 1, n + k - 1
-    b, nb = 1, comb(m, r)
-    total = nb
+    term = total = comb(m, r)
     # C(n, j) vanishes for j > n, so the sum is effectively capped at n.
     for j in range(1, min(k // ell, n) + 1):
-        b = b * (n - j + 1) // j
         if ell <= r:
-            nb = nb * perm(m - r, ell) // perm(m, ell)
+            num, den = perm(m - r, ell), perm(m, ell)
         else:
-            nb = nb * perm(m - ell, r) // perm(m, r)
+            num, den = perm(m - ell, r), perm(m, r)
+        term = term * ((n - j + 1) * num) // (j * den)
         m -= ell
-        term = b * nb
         total = total - term if (j & 1) else total + term
     return Fraction(total, ell**n)
 

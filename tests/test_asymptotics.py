@@ -82,5 +82,23 @@ class TestSupDeviation:
     @example(2, 1)
     @example(12, 1)
     @example(2, 60)
+    @example(2, 1005)
+    @example(2, 990)
+    @example(3, 500)
+    @example(10, 300)
     def test_narrow_scan_equals_the_wide_one(self, ell, n):
         assert local_clt_sup_dev(ell, n) == full_scan_sup_dev(ell, n)
+
+    def test_scan_stops_near_the_centre(self, monkeypatch):
+        calls = []
+        exp = mpmath.exp
+
+        def counting_exp(x):
+            calls.append(x)
+            return exp(x)
+
+        monkeypatch.setattr(mpmath, "exp", counting_exp)
+        local_clt_sup_dev(2, 1005)
+        # the support has 1,006 points; the Gaussian falls below the sup
+        # about 65 points either side of the centre
+        assert 0 < len(calls) <= 200

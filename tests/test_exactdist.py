@@ -150,9 +150,11 @@ class TestDeMoivre:
         assert all(type(v) is int for v in nums)
 
     def test_large_point_matches_power(self):
-        params = LatticeParams(10, 400)
-        d = power(params)
-        assert concentration(params) == Fraction(d.numerators[params.top // 2], d.denominator)
+        # (10, 2977) is a centre the large_n benchmark draws
+        for ell, n in [(10, 400), (10, 2977)]:
+            params = LatticeParams(ell, n)
+            d = power(params)
+            assert concentration(params) == Fraction(d.numerators[params.top // 2], d.denominator)
 
     def test_one_comb_per_point_and_none_per_column(self, monkeypatch):
         calls = []
