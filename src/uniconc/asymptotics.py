@@ -12,7 +12,7 @@ from fractions import Fraction
 import mpmath
 
 from .errors import check_int
-from .exactdist import LatticeParams, concentration, power
+from .exactdist import LatticeParams, power
 
 __all__ = ["clt_ratio", "local_clt_sup_dev"]
 
@@ -28,15 +28,14 @@ def _mpf(fr: Fraction) -> mpmath.mpf:
     return mpmath.mpf(fr.numerator) / mpmath.mpf(fr.denominator)
 
 
-def clt_ratio(ell: int, n: int) -> float:
-    """Ratio of the exact peak probability to its limiting Gaussian value:
-    sqrt(n) * c * sqrt(pi*(ell**2-1)/6).
+def clt_ratio(ell: int, n: int, c: Fraction) -> float:
+    """Ratio of the exact peak probability ``c = concentration(LatticeParams(ell, n))``
+    to its limiting Gaussian value: sqrt(n) * c * sqrt(pi*(ell**2-1)/6).
 
     Tends to one from below as n grows; exceeds one exactly in the reversed
     regime of the sharp bound.
     """
     _check(ell, n)
-    c = concentration(LatticeParams(ell, n))
     with mpmath.workprec(_PREC_BITS):
         value = mpmath.sqrt(n) * _mpf(c) * mpmath.sqrt(mpmath.pi * (ell * ell - 1) / 6)
         return float(value)

@@ -23,7 +23,6 @@ from .errors import ConvergenceError, ParameterError
 from .exactdist import (
     LatticeParams,
     concentration,
-    de_moivre_numerators,
     de_moivre_pmf,
     pair_concentration,
     power,
@@ -181,7 +180,9 @@ def _cmd_pmf(args) -> int:
         return EXIT_OK
 
     if args.method == "demoivre":
-        nums = de_moivre_numerators(params)
+        # unreduced numerators over ell**n, as the --k branch prints them
+        values = (de_moivre_pmf(params, k) for k in range(params.top + 1))
+        nums = (v.numerator * (denom // v.denominator) for v in values)
     else:
         nums = power(params).numerators
     # the denominator is converted to text once, not once per line
@@ -244,7 +245,7 @@ def _cmd_asymptotics(args) -> int:
             (
                 n,
                 decimal_string(c),
-                f"{clt_ratio(args.ell, n):.15g}",
+                f"{clt_ratio(args.ell, n, c):.15g}",
                 f"{local_clt_sup_dev(args.ell, n):.15g}",
             )
         )

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, perm
-from operator import mul
 
 from .errors import ParameterError, check_int
 
@@ -20,7 +19,6 @@ __all__ = [
     "ExactDensity",
     "power",
     "de_moivre_pmf",
-    "de_moivre_numerators",
     "concentration",
     "argmax_set",
     "moments",
@@ -139,26 +137,6 @@ def de_moivre_pmf(params: LatticeParams, k: int) -> Fraction:
         m -= ell
         total = total - term if (j & 1) else total + term
     return Fraction(total, ell**n)
-
-
-def de_moivre_numerators(params: LatticeParams) -> tuple[int, ...]:
-    """Numerators over ``ell**n`` of de Moivre's sum at every support point.
-
-    Builds two columns by exact multiplicative steps, ``B[j] = C(n, j)`` and
-    ``NB[r] = C(n-1+r, n-1)`` for r = 0..top, and sums
-    ``num[k] = sum_j (-1)^j B[j] NB[k - ell*j]``.  It shares no code with
-    :func:`power`, so the two are independent computations of one pmf.
-    """
-    ell, n, top = params.ell, params.n, params.top
-    signed = [1]
-    for j in range(1, n + 1):
-        signed.append(-signed[-1] * (n - j + 1) // j)
-    nb = [1]
-    for r in range(1, top + 1):
-        nb.append(nb[-1] * (n - 1 + r) // r)
-    # NB[k::-ell] lists NB[k - ell*j] for j = 0..k//ell; map stops at the
-    # shorter of it and the n + 1 binomials C(n, j)
-    return tuple(sum(map(mul, signed, nb[k::-ell])) for k in range(top + 1))
 
 
 def concentration(params: LatticeParams) -> Fraction:

@@ -35,7 +35,6 @@ from .exactdist import (
     LatticeParams,
     argmax_set,
     concentration,
-    de_moivre_numerators,
     de_moivre_pmf,
     moments,
     pair_concentration,
@@ -357,7 +356,20 @@ def _cell_moments(p: _Point, prec: int) -> SweepCell:
 
 def _cell_oracle_equiv(p: _Point, prec: int) -> SweepCell:
     params = p.params
-    ok = de_moivre_numerators(params) == p.pmf.numerators
+    # By the definition: the numerators are the coefficients of
+    # (1 + x + ... + x**(ell-1))**n, each at most ell**(n-1) < 2**(8*width),
+    # so at x = 2**(8*width) the true product has no carries, packing a
+    # vector with every entry in [0, 2**(8*width)) is injective, and the two
+    # integers are equal exactly when every coefficient agrees.  An entry
+    # outside that range (negative or too wide) cannot be packed: Fails.
+    width = ((p.ell**p.n).bit_length() + 7) // 8
+    try:
+        packed = b"".join(v.to_bytes(width, "little") for v in p.pmf.numerators)
+    except OverflowError:
+        ok = False
+    else:
+        base = int.from_bytes((b"\x01" + bytes(width - 1)) * p.ell, "little")
+        ok = int.from_bytes(packed, "little") == pow(base, p.n)
     ok = ok and de_moivre_pmf(params, -1) == 0 and de_moivre_pmf(params, params.top + 1) == 0
     return _cell(p, "oracle_equiv", _central_value(p), "Holds" if ok else "Fails")
 

@@ -179,7 +179,7 @@ def test_criterion_08_majorant_sequence():
     worst_slack = -math.inf
     for ell in range(2, 11):
         for n in range(1, 201):
-            ratio = clt_ratio(ell, n)
+            ratio = clt_ratio(ell, n, concentration(LatticeParams(ell, n)))
             upper = float(evaluate(d_sequence_expr(n), 64).hi.as_fraction())
             worst_slack = max(worst_slack, ratio - upper)
             assert ratio <= upper + 1e-9, (ell, n)
@@ -264,7 +264,7 @@ def test_criterion_10_local_clt_sharpness():
     """Peak ratio near one at n = 1000; sup deviation shrinking in n."""
     ratios = {}
     for ell in (2, 3, 4, 5):
-        r = clt_ratio(ell, 1000)
+        r = clt_ratio(ell, 1000, concentration(LatticeParams(ell, 1000)))
         ratios[ell] = r
         assert 0.999 < r < 1.0, (ell, r)
     devs = [local_clt_sup_dev(2, n) for n in (25, 100, 400)]

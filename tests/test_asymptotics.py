@@ -36,15 +36,19 @@ def full_scan_sup_dev(ell: int, n: int) -> float:
         return float(sup)
 
 
+def exact_ratio(ell: int, n: int) -> float:
+    return clt_ratio(ell, n, concentration(LatticeParams(ell, n)))
+
+
 class TestCltRatio:
     def test_triangular_case(self):
-        assert clt_ratio(3, 2) == pytest.approx(0.9648016727443569, rel=1e-12)
+        assert exact_ratio(3, 2) == pytest.approx(0.9648016727443569, rel=1e-12)
 
     def test_single_coin(self):
-        assert clt_ratio(2, 1) == pytest.approx(0.6266570686577502, rel=1e-12)
+        assert exact_ratio(2, 1) == pytest.approx(0.6266570686577502, rel=1e-12)
 
     def test_reversed_regime_exceeds_one(self):
-        assert clt_ratio(5, 2) > 1.0
+        assert exact_ratio(5, 2) > 1.0
 
     def test_matches_float_formula(self):
         for ell, n in [(2, 9), (4, 5), (7, 3), (2, 100)]:
@@ -52,16 +56,16 @@ class TestCltRatio:
             ref = math.sqrt(n) * (c.numerator / c.denominator) * math.sqrt(
                 math.pi * (ell * ell - 1) / 6
             )
-            assert clt_ratio(ell, n) == pytest.approx(ref, rel=1e-12)
+            assert clt_ratio(ell, n, c) == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("ell", [2, 3, 4])
     @pytest.mark.parametrize("n", [1, 3, 10, 50])
     def test_below_one_where_bound_holds(self, ell, n):
-        assert 0.0 < clt_ratio(ell, n) < 1.0
+        assert 0.0 < exact_ratio(ell, n) < 1.0
 
     def test_rejects_degenerate_lattice(self):
         with pytest.raises(ParameterError):
-            clt_ratio(1, 5)
+            exact_ratio(1, 5)
 
 
 class TestSupDeviation:

@@ -24,6 +24,7 @@ import uniconc.sweep as sweep
 from uniconc.certify import Dyadic
 from uniconc.cli import main
 from uniconc.errors import ConvergenceError, ParameterError
+from uniconc.exactdist import ExactDensity, LatticeParams, power
 from uniconc.sweep import (
     CHECKS,
     CSV_COLUMNS,
@@ -233,8 +234,8 @@ FORMER_ROOT_EXPORTS = {
     ),
     "errors": ("ConvergenceError", "DomainError", "ExpressionError", "ParameterError"),
     "exactdist": (
-        "ExactDensity", "LatticeParams", "argmax_set", "concentration", "de_moivre_numerators",
-        "de_moivre_pmf", "moments", "pair_concentration", "power",
+        "ExactDensity", "LatticeParams", "argmax_set", "concentration", "de_moivre_pmf",
+        "moments", "pair_concentration", "power",
     ),
     "spectral": (
         "QuadratureResult", "charfn_kernel", "chebyshev_lemma_check",
@@ -597,6 +598,73 @@ class TestSweepEngine:
         assert SweepSummary(5, 5, 0, 0, 0).clean
         assert not SweepSummary(5, 4, 1, 0, 1).clean
         assert not SweepSummary(5, 4, 0, 1, 0).clean
+
+
+grid_points = st.tuples(st.integers(min_value=2, max_value=12), st.integers(min_value=1, max_value=60))
+
+
+def oracle_verdict(ell: int, n: int, nums=None) -> str:
+    """The ``oracle_equiv`` verdict at (ell, n); ``nums``, when given,
+    stands in for the numerators that ``power`` would supply."""
+    point = sweep._Point(ell, n)
+    if nums is not None:
+        point.pmf = ExactDensity(point.params, tuple(nums))
+    return sweep._cell_oracle_equiv(point, 256).verdict
+
+
+class TestOracleEquiv:
+    @settings(max_examples=60, deadline=None)
+    @given(grid_points)
+    def test_holds_on_the_recurrence(self, point):
+        assert oracle_verdict(*point) == "Holds"
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_points, st.data())
+    def test_one_numerator_off_by_one_fails(self, point, data):
+        nums = list(power(LatticeParams(*point)).numerators)
+        k = data.draw(st.integers(min_value=0, max_value=len(nums) - 1))
+        nums[k] += data.draw(st.sampled_from((-1, 1)))
+        assert oracle_verdict(*point, nums) == "Fails"
+
+    @settings(max_examples=30, deadline=None)
+    @given(grid_points, st.data())
+    def test_negative_numerator_fails(self, point, data):
+        nums = list(power(LatticeParams(*point)).numerators)
+        k = data.draw(st.integers(min_value=0, max_value=len(nums) - 1))
+        nums[k] = -nums[k]
+        assert oracle_verdict(*point, nums) == "Fails"
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_points, st.data())
+    def test_carry_alias_fails(self, point, data):
+        ell, n = point
+        true = power(LatticeParams(ell, n)).numerators
+        nums = list(true)
+        k = data.draw(st.integers(min_value=0, max_value=len(nums) - 2))
+        bits = 8 * (((ell**n).bit_length() + 7) // 8)
+        nums[k] += 1 << bits
+        nums[k + 1] -= 1
+
+        def shift_sum(vs):
+            return sum(v << (bits * i) for i, v in enumerate(vs))
+
+        # by value the alias packs to the true integer; only its slot
+        # range gives it away
+        assert shift_sum(nums) == shift_sum(true)
+        assert oracle_verdict(ell, n, nums) == "Fails"
+
+    @settings(max_examples=30, deadline=None)
+    @given(grid_points, st.sampled_from((-1, 1)))
+    def test_de_moivre_nonzero_off_the_support_fails(self, point, side):
+        real = sweep.de_moivre_pmf
+
+        def off_support_mass(params, k):
+            off = -1 if side < 0 else params.top + 1
+            return Fraction(1, params.ell**params.n) if k == off else real(params, k)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sweep, "de_moivre_pmf", off_support_mass)
+            assert oracle_verdict(*point) == "Fails"
 
 
 class TestAsymptoticsCommand:

@@ -1,8 +1,11 @@
 """Exact-distribution layer: frozen examples, exhaustive small-grid
 invariants and property tests of the three-term recurrence in k behind
-``power`` (against a direct fold and against de Moivre's sums, up to
-ell = 60 and n = 400) and of de Moivre's stepped sums."""
+``power`` (against a direct fold and against de Moivre's single-point sum,
+up to ell = 60 and n = 400, and over the whole support as the
+``pmf --method demoivre`` listing) and of de Moivre's stepped sum."""
 
+import io
+from contextlib import redirect_stdout
 from fractions import Fraction
 from math import comb
 
@@ -11,13 +14,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uniconc import exactdist
+from uniconc.cli import main
 from uniconc.errors import ParameterError
 from uniconc.exactdist import (
     ExactDensity,
     LatticeParams,
     argmax_set,
     concentration,
-    de_moivre_numerators,
     de_moivre_pmf,
     moments,
     pair_concentration,
@@ -139,13 +142,12 @@ class TestDeMoivre:
         d = power(params)
         for k in range(params.top + 1):
             assert de_moivre_pmf(params, k) == Fraction(d.numerators[k], d.denominator)
-        assert de_moivre_numerators(params) == d.numerators
         # beyond the support the alternating sum must cancel exactly
         for k in (params.top + 1, params.top + 5):
             assert de_moivre_pmf(params, k) == 0
 
     def test_numerators_are_plain_ints(self):
-        nums = de_moivre_numerators(LatticeParams(3, 2))
+        nums = power(LatticeParams(3, 2)).numerators
         assert nums == (1, 2, 3, 2, 1)
         assert all(type(v) is int for v in nums)
 
@@ -156,7 +158,7 @@ class TestDeMoivre:
             d = power(params)
             assert concentration(params) == Fraction(d.numerators[params.top // 2], d.denominator)
 
-    def test_one_comb_per_point_and_none_per_column(self, monkeypatch):
+    def test_one_comb_per_point(self, monkeypatch):
         calls = []
 
         def counting_comb(a, b):
@@ -173,9 +175,6 @@ class TestDeMoivre:
                 calls.clear()
                 de_moivre_pmf(params, k)
                 assert len(calls) <= 1, (ell, n, k, calls)
-            calls.clear()
-            de_moivre_numerators(params)
-            assert calls == [], (ell, n)
 
     @pytest.mark.parametrize("ell", range(2, 51))
     def test_closed_forms_single_and_double(self, ell):
@@ -345,7 +344,14 @@ class TestPowerProperties:
     @settings(max_examples=60, deadline=None)
     @given(lattices)
     def test_matches_de_moivre_numerators(self, params):
-        assert de_moivre_numerators(params) == power(params).numerators
+        # the whole-support listing of `pmf --method demoivre`: de Moivre at every k
+        out = io.StringIO()
+        with redirect_stdout(out):
+            argv = ["pmf", "--ell", str(params.ell), "--n", str(params.n), "--method", "demoivre"]
+            assert main(argv) == 0
+        denom = params.ell**params.n
+        nums = power(params).numerators
+        assert out.getvalue() == "".join(f"{k} {v}/{denom}\n" for k, v in enumerate(nums))
 
     @settings(max_examples=50, deadline=None)
     @given(lattices)
