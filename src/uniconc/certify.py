@@ -57,10 +57,12 @@ class Dyadic:
         shift = (man & -man).bit_length() - 1
         return Dyadic(man >> shift, exp + shift)
 
+    def as_ratio(self) -> tuple[int, int]:
+        """The value as an exact ``(num, den)`` with ``den`` a power of two."""
+        return (self.man << self.exp, 1) if self.exp >= 0 else (self.man, 1 << -self.exp)
+
     def as_fraction(self) -> Fraction:
-        if self.exp >= 0:
-            return Fraction(self.man << self.exp, 1)
-        return Fraction(self.man, 1 << -self.exp)
+        return Fraction(*self.as_ratio())
 
     def __lt__(self, other: "Dyadic") -> bool:
         a, b = self.man, other.man
@@ -142,9 +144,7 @@ class Interval:
 
 def _ratio(v: Fraction | int | Dyadic) -> tuple[int, int]:
     """``v`` as an exact ``(num, den)`` with ``den > 0``."""
-    if isinstance(v, Dyadic):
-        return (v.man << v.exp, 1) if v.exp >= 0 else (v.man, 1 << -v.exp)
-    return v.numerator, v.denominator
+    return v.as_ratio() if isinstance(v, Dyadic) else (v.numerator, v.denominator)
 
 
 def _round_sum(x, y, sign: int, bits: int, up: bool) -> Dyadic:
@@ -282,12 +282,20 @@ class Outcome(Enum):
 class Verdict:
     """Certified result of a strict comparison lhs < rhs.
 
-    ``margin`` encloses rhs - lhs; the outcome is Holds exactly when the
-    whole margin is positive and Fails exactly when it is negative.
+    ``margin`` encloses rhs - lhs, and the outcome is derived from it alone:
+    Holds exactly when the whole margin is positive, Fails exactly when it is
+    negative, Inconclusive otherwise.
     """
 
-    outcome: Outcome
     margin: Interval
+
+    @property
+    def outcome(self) -> Outcome:
+        if self.margin.lo.sign > 0:
+            return Outcome.HOLDS
+        if self.margin.hi.sign < 0:
+            return Outcome.FAILS
+        return Outcome.INCONCLUSIVE
 
 
 def _ends(v: Fraction | int | Interval) -> tuple:
@@ -305,10 +313,4 @@ def verdict_between(lhs, rhs, precision_bits: int) -> Verdict:
     margin = Interval(
         _round_sum(rhs_lo, lhs_hi, -1, bits, False), _round_sum(rhs_hi, lhs_lo, -1, bits, True)
     )
-    if margin.lo.sign > 0:
-        outcome = Outcome.HOLDS
-    elif margin.hi.sign < 0:
-        outcome = Outcome.FAILS
-    else:
-        outcome = Outcome.INCONCLUSIVE
-    return Verdict(outcome, margin)
+    return Verdict(margin)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import groupby
 from pathlib import Path
 
 from .asymptotics import clt_ratio, local_clt_sup_dev
@@ -31,6 +32,7 @@ from .sweep import (
     CHECKS,
     SweepConfig,
     SweepReport,
+    SweepSummary,
     decimal_string,
     report_to_csv_bytes,
     report_to_json_bytes,
@@ -269,14 +271,12 @@ def _cmd_report(args) -> int:
     base.parent.mkdir(parents=True, exist_ok=True)
     base.with_suffix(".csv").write_bytes(report_to_csv_bytes(report))
     base.with_suffix(".json").write_bytes(report_to_json_bytes(report))
-    per_check: dict[str, list] = {}
-    for cell in report.cells:
-        per_check.setdefault(cell.check, []).append(cell)
-    for check in sorted(per_check):
-        cells = per_check[check]
-        bad = sum(1 for c in cells if c.mismatch or c.verdict == "Inconclusive")
-        status = "ok" if bad == 0 else f"{bad} unexpected"
-        print(f"{check:<14} cells={len(cells):<6} {status}")
+    # the cells are sorted by check, and each check is summarized by the rule
+    # that decides the whole report's exit code
+    for check, cells in groupby(report.cells, key=lambda c: c.check):
+        s = SweepSummary.of(list(cells))
+        status = "ok" if s.clean else f"{s.unexpected} unexpected"
+        print(f"{check:<14} cells={s.cells:<6} {status}")
     print(_summary_line(report))
     print(f"wrote {base.with_suffix('.csv')} and {base.with_suffix('.json')}")
     return EXIT_OK if report.summary.clean else EXIT_VERIFICATION

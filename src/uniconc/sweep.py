@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -23,8 +24,8 @@ from . import bounds
 from .certify import (
     Dyadic,
     Interval,
-    Outcome,
     RootBound,
+    Verdict,
     _check_precision,
     evaluate,
     verdict_between,
@@ -53,18 +54,6 @@ __all__ = [
     "decimal_string",
     "CSV_COLUMNS",
 ]
-
-CHECKS = (
-    "argmax",
-    "bessel_chain",
-    "bretagnolle",
-    "corollary",
-    "dsequence",
-    "main",
-    "moments",
-    "oracle_equiv",
-    "wallis",
-)
 
 CSV_COLUMNS = (
     "ell",
@@ -146,9 +135,20 @@ class SweepSummary:
     inconclusive: int
     mismatches: int
 
+    @classmethod
+    def of(cls, cells: list[SweepCell]) -> SweepSummary:
+        v = Counter(c.verdict for c in cells)
+        mismatches = sum(c.mismatch for c in cells)
+        return cls(len(cells), v["Holds"], v["Fails"], v["Inconclusive"], mismatches)
+
+    @property
+    def unexpected(self) -> int:
+        """Cells not decided as expected: mismatches and Inconclusive cells."""
+        return self.mismatches + self.inconclusive
+
     @property
     def clean(self) -> bool:
-        return self.mismatches == 0 and self.inconclusive == 0
+        return self.unexpected == 0
 
 
 @dataclass(frozen=True)
@@ -168,6 +168,7 @@ def decimal_string(fr: Fraction, sig: int = 30) -> str:
     Uses only integer arithmetic: identical inputs give identical strings on
     every platform.  Trailing zeros of the mantissa are stripped.
     """
+    check_int("sig", sig, 1)
     return _decimal_digits(fr.numerator, fr.denominator, sig)
 
 
@@ -213,17 +214,16 @@ def _ge_pow10(num: int, den: int, e: int) -> bool:
 
 
 def _dyadic_string(d: Dyadic) -> str:
-    if d.exp >= 0:
-        return _decimal_digits(d.man << d.exp, 1)
-    return _decimal_digits(d.man, 1 << -d.exp)
+    return _decimal_digits(*d.as_ratio())
 
 
 def _interval_strings(iv: Interval) -> tuple[str, str]:
     return _dyadic_string(iv.lo), _dyadic_string(iv.hi)
 
 
-def _fraction_string(fr: Fraction) -> str:
-    return f"{fr.numerator}/{fr.denominator}"
+def _exact_strings(fr: Fraction) -> tuple[str, str]:
+    """The report's two renderings of an exact value: decimal, then p/q."""
+    return decimal_string(fr), f"{fr.numerator}/{fr.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +231,9 @@ def _fraction_string(fr: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 class _Point:
-    """One (ell, n) grid point.  Its concentration and full pmf are computed
-    at most once, on first use, and shared by every check of the point."""
+    """One (ell, n) grid point.  Its concentration, the concentration's
+    report strings, its full pmf and the sharp bound are each computed at
+    most once, on first use, and shared by every check of the point."""
 
     def __init__(self, ell: int, n: int):
         self.ell, self.n = ell, n
@@ -243,24 +244,30 @@ class _Point:
         return concentration(self.params)
 
     @cached_property
+    def conc_strings(self) -> tuple[str, str]:
+        return _exact_strings(self.conc)
+
+    @cached_property
     def pmf(self) -> ExactDensity:
         return power(self.params)
+
+    @cached_property
+    def main_bound(self) -> RootBound:
+        return bounds.main_bound_expr(self.ell, self.n)
 
 
 def _cell(
     p: _Point,
     check: str,
-    exact: Fraction,
+    exact: tuple[str, str],
     verdict: str,
     bound: tuple[str, str] = ("", ""),
     margin: tuple[str, str] = ("", ""),
     expected: str = "holds",
 ) -> SweepCell:
-    """The one report row; exact checks leave the bound and margin empty."""
-    return SweepCell(
-        p.ell, p.n, check, decimal_string(exact), _fraction_string(exact),
-        *bound, verdict, *margin, expected,
-    )
+    """The one report row; ``exact`` is the pair ``_exact_strings`` gives,
+    and exact checks leave the bound and margin empty."""
+    return SweepCell(p.ell, p.n, check, *exact, *bound, verdict, *margin, expected)
 
 
 def _certified_cell(p: _Point, check: str, expr: RootBound, prec: int, expected: str) -> SweepCell:
@@ -269,14 +276,14 @@ def _certified_cell(p: _Point, check: str, expr: RootBound, prec: int, expected:
     bound = evaluate(expr, prec)
     verdict = verdict_between(p.conc, bound, prec)
     return _cell(
-        p, check, p.conc, verdict.outcome.value,
+        p, check, p.conc_strings, verdict.outcome.value,
         _interval_strings(bound), _interval_strings(verdict.margin), expected,
     )
 
 
 def _cell_main(p: _Point, prec: int) -> SweepCell:
     expected = "reversed" if (p.n == 2 and p.ell >= 5) else "holds"
-    return _certified_cell(p, "main", bounds.main_bound_expr(p.ell, p.n), prec, expected)
+    return _certified_cell(p, "main", p.main_bound, prec, expected)
 
 
 def _cell_corollary(p: _Point, prec: int) -> SweepCell:
@@ -284,32 +291,27 @@ def _cell_corollary(p: _Point, prec: int) -> SweepCell:
 
 
 def _cell_wallis(p: _Point, prec: int) -> SweepCell:
-    # only run on the two-point lattice (see _CHECK_ELL_FILTER), where the
+    # only run on the two-point lattice (see _CHECK_TABLE), where the
     # concentration is a central binomial probability; k is matched so that
     # c_{2,n} = C(2k,k)/4**k
     return _certified_cell(p, "wallis", bounds.wallis_bound_expr((p.n + 1) // 2), prec, "holds")
 
 
 def _cell_bessel_chain(p: _Point, prec: int) -> SweepCell:
-    # only run on the three-point lattice (see _CHECK_ELL_FILTER)
+    # only run on the three-point lattice (see _CHECK_TABLE)
     n = p.n
     pair = pair_concentration(p.params)
     middle = bounds.bessel_G(Fraction(2 * n, 3), prec)
     outer = evaluate(bounds.bessel_chain_expr(n), prec)
-    left = verdict_between(pair, middle, prec)
-    right = verdict_between(middle, outer, prec)
-    if left.outcome is Outcome.HOLDS and right.outcome is Outcome.HOLDS:
-        outcome = Outcome.HOLDS
-    elif Outcome.FAILS in (left.outcome, right.outcome):
-        outcome = Outcome.FAILS
-    else:
-        outcome = Outcome.INCONCLUSIVE
-    # report the margin of the binding side
-    margin = Interval(
-        min(left.margin.lo, right.margin.lo), min(left.margin.hi, right.margin.hi)
-    )
+    left = verdict_between(pair, middle, prec).margin
+    right = verdict_between(middle, outer, prec).margin
+    # the chain's margin is the componentwise minimum of its links' margins:
+    # its low end is positive exactly when both links hold, and its high end
+    # negative exactly when one fails, so the one sign rule decides the chain
+    chain = Verdict(Interval(min(left.lo, right.lo), min(left.hi, right.hi)))
     return _cell(
-        p, "bessel_chain", pair, outcome.value, _interval_strings(outer), _interval_strings(margin)
+        p, "bessel_chain", _exact_strings(pair), chain.outcome.value,
+        _interval_strings(outer), _interval_strings(chain.margin),
     )
 
 
@@ -317,19 +319,18 @@ def _cell_dsequence(p: _Point, prec: int) -> SweepCell:
     # the concentration rescaled by sqrt(pi*(ell**2-1)*n/6) stays below d_n;
     # stated equivalently as c < d_n * main_bound so the left side is rational;
     # d_n has r = 1 and k = 0, so the product takes main's radicand
-    main = bounds.main_bound_expr(p.ell, p.n)
+    main = p.main_bound
     expr = replace(bounds.d_sequence_expr(p.n), r=main.r, k=main.k)
     return _certified_cell(p, "dsequence", expr, prec, "holds")
 
 
 def _cell_bretagnolle(p: _Point, prec: int) -> SweepCell:
-    c = p.conc
     # c(2, n) is the largest binomial probability C(n, n // 2) / 2**n
     rhs = Fraction(2, p.ell) * Fraction(comb(p.n, p.n // 2), 2**p.n)
-    margin = rhs - c  # non-strict comparison: equality holds at ell = 2
+    margin = rhs - p.conc  # non-strict comparison: equality holds at ell = 2
     rhs_str, margin_str = decimal_string(rhs), decimal_string(margin)
     verdict = "Holds" if margin >= 0 else "Fails"
-    return _cell(p, "bretagnolle", c, verdict, (rhs_str, rhs_str), (margin_str, margin_str))
+    return _cell(p, "bretagnolle", p.conc_strings, verdict, (rhs_str,) * 2, (margin_str,) * 2)
 
 
 def _central_value(p: _Point) -> Fraction:
@@ -344,14 +345,14 @@ def _cell_argmax(p: _Point, prec: int) -> SweepCell:
     # for n = 1 the pmf is flat and every point is maximal; the central
     # points must still be among them
     ok = central <= peak if p.n == 1 else peak == central
-    return _cell(p, "argmax", _central_value(p), "Holds" if ok else "Fails")
+    return _cell(p, "argmax", _exact_strings(_central_value(p)), "Holds" if ok else "Fails")
 
 
 def _cell_moments(p: _Point, prec: int) -> SweepCell:
     ell, n = p.ell, p.n
     mean, var = moments(p.pmf)
     ok = mean == Fraction(n * (ell - 1), 2) and var == Fraction(n * (ell * ell - 1), 12)
-    return _cell(p, "moments", mean, "Holds" if ok else "Fails")
+    return _cell(p, "moments", _exact_strings(mean), "Holds" if ok else "Fails")
 
 
 def _cell_oracle_equiv(p: _Point, prec: int) -> SweepCell:
@@ -371,39 +372,38 @@ def _cell_oracle_equiv(p: _Point, prec: int) -> SweepCell:
         base = int.from_bytes((b"\x01" + bytes(width - 1)) * p.ell, "little")
         ok = int.from_bytes(packed, "little") == pow(base, p.n)
     ok = ok and de_moivre_pmf(params, -1) == 0 and de_moivre_pmf(params, params.top + 1) == 0
-    return _cell(p, "oracle_equiv", _central_value(p), "Holds" if ok else "Fails")
+    return _cell(p, "oracle_equiv", _exact_strings(_central_value(p)), "Holds" if ok else "Fails")
 
 
-_CELL_FUNCS = {
-    "main": _cell_main,
-    "corollary": _cell_corollary,
-    "wallis": _cell_wallis,
-    "bessel_chain": _cell_bessel_chain,
-    "dsequence": _cell_dsequence,
-    "bretagnolle": _cell_bretagnolle,
-    "argmax": _cell_argmax,
-    "moments": _cell_moments,
-    "oracle_equiv": _cell_oracle_equiv,
+# every check: its cell function and the one ell it is defined on, or None.
+# A check defined on one lattice size keeps the grid semantics honest by
+# skipping other rows instead of silently recomputing them.
+_CHECK_TABLE = {
+    "argmax": (_cell_argmax, None),
+    "bessel_chain": (_cell_bessel_chain, 3),
+    "bretagnolle": (_cell_bretagnolle, None),
+    "corollary": (_cell_corollary, None),
+    "dsequence": (_cell_dsequence, None),
+    "main": (_cell_main, None),
+    "moments": (_cell_moments, None),
+    "oracle_equiv": (_cell_oracle_equiv, None),
+    "wallis": (_cell_wallis, 2),
 }
 
-# checks that are only defined on one lattice size keep the grid semantics
-# honest by skipping other rows instead of silently recomputing them
-_CHECK_ELL_FILTER = {"wallis": 2, "bessel_chain": 3}
+CHECKS = tuple(sorted(_CHECK_TABLE))
 
 
 def _run_point(task: tuple[int, int, tuple[str, ...], int]) -> list[SweepCell]:
     ell, n, checks, prec = task
     point = _Point(ell, n)
-    return [_CELL_FUNCS[check](point, prec) for check in checks]
+    return [_CHECK_TABLE[check][0](point, prec) for check in checks]
 
 
 def _tasks(config: SweepConfig) -> list[tuple[int, int, tuple[str, ...], int]]:
     """One task per (ell, n) point that has at least one applicable check."""
     out = []
     for ell in range(config.ell_range[0], config.ell_range[1] + 1):
-        checks = tuple(
-            c for c in sorted(config.checks) if _CHECK_ELL_FILTER.get(c, ell) == ell
-        )
+        checks = tuple(c for c in sorted(config.checks) if _CHECK_TABLE[c][1] in (None, ell))
         if not checks:
             continue
         for n in range(config.n_range[0], config.n_range[1] + 1):
@@ -428,13 +428,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             points = list(pool.map(_run_point, tasks, chunksize=chunk))
     cells = [cell for point in points for cell in point]
     cells.sort(key=lambda c: (c.check, c.ell, c.n))
-    holds = sum(1 for c in cells if c.verdict == "Holds")
-    fails = sum(1 for c in cells if c.verdict == "Fails")
-    inconclusive = sum(1 for c in cells if c.verdict == "Inconclusive")
-    mismatches = sum(1 for c in cells if c.mismatch)
-    return SweepReport(
-        config, cells, SweepSummary(len(cells), holds, fails, inconclusive, mismatches)
-    )
+    return SweepReport(config, cells, SweepSummary.of(cells))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Interval endpoints, enclosure soundness, and verdict semantics."""
 
+from dataclasses import fields
 from fractions import Fraction
 from math import floor, isqrt
 
@@ -15,6 +16,7 @@ from uniconc.certify import (
     Interval,
     Outcome,
     RootBound,
+    Verdict,
     evaluate,
     pi_enclosure,
     verdict_between,
@@ -280,6 +282,18 @@ class TestRootBound:
         with pytest.raises(error):
             RootBound(*fields)
 
+    def test_rejects_non_expression(self):
+        with pytest.raises(ExpressionError):
+            evaluate(0.75, 256)
+
+    def test_const_rejects_float(self):
+        with pytest.raises(ExpressionError):
+            RootBound(0.5, ZERO, ONE, 0)
+
+    def test_sqrt_of_negative_expression(self):
+        with pytest.raises(DomainError):
+            RootBound(ONE, ZERO, Fraction(-1), 0)
+
 
 class TestPrecisionCap:
     @pytest.fixture
@@ -366,8 +380,8 @@ def decide(lhs: Fraction, bound: RootBound, precision_bits: int = 256):
     return verdict_between(lhs, evaluate(bound, precision_bits), precision_bits)
 
 
-class TestCertifyLess:
-    """Certified decisions of c < bound, through ``decide``."""
+class TestVerdictBetween:
+    """Certified decisions of lhs < rhs, directly and through ``decide``."""
 
     def test_reversed_boundary_case(self):
         v = decide(Fraction(1, 5), root_over_pi(Fraction(6, 48)))
@@ -422,20 +436,6 @@ class TestCertifyLess:
             if low.outcome is not Outcome.INCONCLUSIVE:
                 assert low.outcome is high.outcome
 
-    def test_rejects_non_expression(self):
-        with pytest.raises(ExpressionError):
-            evaluate(0.75, 256)
-
-    def test_const_rejects_float(self):
-        with pytest.raises(ExpressionError):
-            RootBound(0.5, ZERO, ONE, 0)
-
-    def test_sqrt_of_negative_expression(self):
-        with pytest.raises(DomainError):
-            RootBound(ONE, ZERO, Fraction(-1), 0)
-
-
-class TestVerdictBetween:
     def test_fraction_vs_interval(self):
         iv = evaluate(RootBound(ONE, ZERO, Fraction(2), 0), 128)
         assert verdict_between(Fraction(7, 5), iv, 128).outcome is Outcome.HOLDS
@@ -471,3 +471,14 @@ class TestVerdictBetween:
     def test_overlapping_intervals_inconclusive(self):
         iv = evaluate(RootBound(ONE, ZERO, Fraction(2), 0), 64)
         assert verdict_between(iv, iv, 64).outcome is Outcome.INCONCLUSIVE
+
+    @settings(max_examples=100, deadline=None)
+    @given(margin=intervals)
+    def test_verdict_holds_only_its_margin(self, margin):
+        """The outcome is derived from the margin, so the two cannot disagree."""
+        assert [f.name for f in fields(Verdict)] == ["margin"]
+        with pytest.raises(TypeError):
+            Verdict(Outcome.HOLDS, margin)
+        outcome = Verdict(margin).outcome
+        assert (outcome is Outcome.HOLDS) == (margin.lo.sign > 0)
+        assert (outcome is Outcome.FAILS) == (margin.hi.sign < 0)

@@ -21,7 +21,7 @@ import uniconc
 import uniconc.cli as cli
 import uniconc.spectral as spectral
 import uniconc.sweep as sweep
-from uniconc.certify import Dyadic
+from uniconc.certify import Dyadic, Interval, Outcome, Verdict
 from uniconc.cli import main
 from uniconc.errors import ConvergenceError, ParameterError
 from uniconc.exactdist import ExactDensity, LatticeParams, power
@@ -85,6 +85,13 @@ class TestDecimalString:
 
     def test_round_half_up_carry(self):
         assert decimal_string(Fraction(999999999999, 10**12), sig=6) == "1"
+
+    @pytest.mark.parametrize("sig", [0, -1, True, 1.5], ids=repr)
+    def test_rejects_sig_that_is_not_a_positive_int(self, sig):
+        # sig = 0 rendered 7 as "00" and 1/3 as "0", and True passed as 1
+        for fr in (Fraction(7), Fraction(1, 3)):
+            with pytest.raises(ParameterError):
+                decimal_string(fr, sig)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(-(2**200), 2**200), st.integers(-300, 300))
@@ -462,6 +469,25 @@ class TestVerifyCommand:
         assert code == 1
 
 
+# a margin of one link of the Bessel chain: it holds, fails or straddles 0,
+# with an end at 0 or not
+link_margins = st.builds(
+    lambda a, b, e: Interval(Dyadic(min(a, b), e), Dyadic(max(a, b), e)),
+    st.integers(-3, 3), st.integers(-3, 3), st.integers(-8, 8),
+)
+LINK_SIGN_PATTERNS = [
+    Interval(Dyadic(lo, 0), Dyadic(hi, 0)) for lo, hi in ((1, 2), (-2, -1), (-1, 1), (0, 0))
+]
+
+
+def every_sign_pattern(test):
+    """Run ``test`` on every pair of link margins in LINK_SIGN_PATTERNS."""
+    for left in LINK_SIGN_PATTERNS:
+        for right in LINK_SIGN_PATTERNS:
+            test = example(left=left, right=right)(test)
+    return test
+
+
 class TestSweepEngine:
     def test_cells_sorted_lexicographically(self):
         cfg = SweepConfig((2, 4), (1, 3), ("moments", "argmax"), 128, "csv", 1)
@@ -580,6 +606,38 @@ class TestSweepEngine:
         run_sweep(SweepConfig((2, 4), (1, 3), ("main", "bretagnolle"), 128))
         assert calls == {"power": 0, "concentration": 9}
 
+        # the sharp bound, shared by main and dsequence
+        built = {"main_bound_expr": 0}
+        real_main = sweep.bounds.main_bound_expr
+
+        def main_bound_expr(ell, n):
+            built["main_bound_expr"] += 1
+            return real_main(ell, n)
+
+        monkeypatch.setattr(sweep.bounds, "main_bound_expr", main_bound_expr)
+        run_sweep(SweepConfig((2, 4), (1, 3), ("main", "dsequence"), 128))
+        assert built == {"main_bound_expr": 9}
+
+        # the concentration objects, and how often each is rendered; by
+        # identity, since at ell = 2 bretagnolle's bound equals c(2, n)
+        concs, rendered = [], []
+        real_conc, real_render = sweep.concentration, sweep.decimal_string
+
+        def concentration(params):
+            concs.append(real_conc(params))
+            return concs[-1]
+
+        def decimal_string(fr, sig=30):
+            rendered.extend(i for i, c in enumerate(concs) if fr is c)
+            return real_render(fr, sig)
+
+        monkeypatch.setattr(sweep, "concentration", concentration)
+        monkeypatch.setattr(sweep, "decimal_string", decimal_string)
+        checks = ("main", "corollary", "dsequence", "bretagnolle")
+        report = run_sweep(SweepConfig((2, 4), (1, 3), checks, 128))
+        assert len(report.cells) == 36
+        assert sorted(rendered) == list(range(9))
+
     def test_one_bound_evaluation_per_certified_cell(self, monkeypatch):
         calls = {"evaluate": 0}
         real_evaluate = sweep.evaluate
@@ -598,6 +656,38 @@ class TestSweepEngine:
         assert SweepSummary(5, 5, 0, 0, 0).clean
         assert not SweepSummary(5, 4, 1, 0, 1).clean
         assert not SweepSummary(5, 4, 0, 1, 0).clean
+
+    def test_summary_of_cells(self):
+        rows = [("holds", "Holds"), ("holds", "Fails"), ("reversed", "Holds"),
+                ("reversed", "Fails"), ("holds", "Inconclusive")]
+        cells = [SweepCell(2, 1, "main", "", "", "", "", v, "", "", e) for e, v in rows]
+        summary = SweepSummary.of(cells)
+        assert summary == SweepSummary(5, 2, 2, 1, 2)
+        assert summary.unexpected == 3 and not summary.clean
+        assert SweepSummary.of([]) == SweepSummary(0, 0, 0, 0, 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(left=link_margins, right=link_margins)
+    @every_sign_pattern
+    def test_chain_outcome_is_the_three_way_rule_of_its_links(self, left, right):
+        """The chain cell decides by the one sign rule on the componentwise
+        minimum of its links' margins; that equals the rule it replaced:
+        Holds when both links hold, Fails when one fails, else Inconclusive."""
+        def three_way(a: Outcome, b: Outcome) -> Outcome:
+            if a is Outcome.HOLDS and b is Outcome.HOLDS:
+                return Outcome.HOLDS
+            if Outcome.FAILS in (a, b):
+                return Outcome.FAILS
+            return Outcome.INCONCLUSIVE
+
+        links = iter((left, right))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sweep, "verdict_between", lambda lhs, rhs, prec: Verdict(next(links)))
+            cell = sweep._cell_bessel_chain(sweep._Point(3, 1), 64)
+        want = three_way(Verdict(left).outcome, Verdict(right).outcome)
+        assert cell.verdict == want.value
+        lo, hi = min(left.lo, right.lo), min(left.hi, right.hi)
+        assert (cell.margin_lo, cell.margin_hi) == tuple(map(sweep._dyadic_string, (lo, hi)))
 
 
 grid_points = st.tuples(st.integers(min_value=2, max_value=12), st.integers(min_value=1, max_value=60))
@@ -707,6 +797,37 @@ class TestReportCommand:
             "argmax", "bessel_chain", "bretagnolle", "corollary", "dsequence",
             "main", "moments", "oracle_equiv", "wallis",
         }
+
+    @staticmethod
+    def check_lines(out: str) -> dict[str, str]:
+        """The per-check lines of ``report``'s stdout, by check."""
+        return {line.split()[0]: line for line in out.splitlines() if line.split()[0] in CHECKS}
+
+    def test_per_check_lines(self, tmp_path, capsys):
+        # (3, 3) and (3, 5) are the bretagnolle exception cells of the grid
+        argv = ["report", "--ell-range", "3:3", "--n-range", "1:5", "--out", str(tmp_path / "r")]
+        assert main(argv) == 1
+        lines = self.check_lines(capsys.readouterr().out)
+        assert sorted(lines) == sorted(set(CHECKS) - {"wallis"})
+        assert lines.pop("bretagnolle") == "bretagnolle    cells=5      2 unexpected"
+        for check, line in lines.items():
+            assert line == f"{check:<14} cells=5      ok"
+
+    def test_inconclusive_cells_are_unexpected(self, tmp_path, capsys, monkeypatch):
+        # every certified margin straddles 0: [-1, 1] - 0
+        real = sweep.verdict_between
+        straddle = Interval(Dyadic(-1, 0), Dyadic(1, 0))
+        monkeypatch.setattr(
+            sweep, "verdict_between", lambda lhs, rhs, prec: real(Fraction(0), straddle, prec)
+        )
+        argv = ["report", "--ell-range", "3:3", "--n-range", "1:5", "--out", str(tmp_path / "r")]
+        assert main(argv) == 1
+        lines = self.check_lines(capsys.readouterr().out)
+        for check in ("bessel_chain", "corollary", "dsequence", "main"):
+            assert lines.pop(check) == f"{check:<14} cells=5      5 unexpected"
+        assert lines.pop("bretagnolle") == "bretagnolle    cells=5      2 unexpected"
+        for check, line in lines.items():
+            assert line.endswith(" ok"), line
 
 
 class TestGoldenReport:
