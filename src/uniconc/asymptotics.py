@@ -1,31 +1,31 @@
 """Finite-n checks of local-CLT sharpness for the peak-probability bound.
 
-The exact rational concentration is computed first and converted to an
-extended-precision float only at the end, so no pmf value ever underflows
-(the denominators ell**n overflow double precision long before n = 1000).
+The exact rational concentration is computed first and converted to a
+40-digit decimal only at the end, so no pmf value ever underflows (the
+denominators ell**n overflow double precision long before n = 1000).
 """
 
 from __future__ import annotations
 
+from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
 
-import mpmath
-
+from .certify import pi_enclosure
 from .errors import check_int
 from .exactdist import LatticeParams, power
 
 __all__ = ["clt_ratio", "local_clt_sup_dev"]
 
-_PREC_BITS = 128
+# 40 digits (over 128 bits), set in full: the caller's context changes nothing
+_CONTEXT = Context(prec=40, rounding=ROUND_HALF_EVEN)
+# pi's enclosure is within 2**-160 of pi, whose digits past the 40th
+# (1693...) are far from a rounding boundary, so it rounds as pi does
+_PI = _CONTEXT.divide(*pi_enclosure(160).lo.as_ratio())
 
 
 def _check(ell: int, n: int) -> None:
     check_int("ell", ell, 2)  # ell = 1 has zero variance
     check_int("n", n, 1)
-
-
-def _mpf(fr: Fraction) -> mpmath.mpf:
-    return mpmath.mpf(fr.numerator) / mpmath.mpf(fr.denominator)
 
 
 def clt_ratio(ell: int, n: int, c: Fraction) -> float:
@@ -36,9 +36,9 @@ def clt_ratio(ell: int, n: int, c: Fraction) -> float:
     regime of the sharp bound.
     """
     _check(ell, n)
-    with mpmath.workprec(_PREC_BITS):
-        value = mpmath.sqrt(n) * _mpf(c) * mpmath.sqrt(mpmath.pi * (ell * ell - 1) / 6)
-        return float(value)
+    with localcontext(_CONTEXT):
+        value = Decimal(n).sqrt() * (Decimal(c.numerator) / c.denominator)
+        return float(value * (_PI * (ell * ell - 1) / 6).sqrt())
 
 
 def local_clt_sup_dev(ell: int, n: int) -> float:
@@ -54,29 +54,28 @@ def local_clt_sup_dev(ell: int, n: int) -> float:
     For a, b >= 0, ``|a - b| <= max(a, b)``.  The pmf is symmetric and
     unimodal about the centre, and the Gaussian is centred at n*mu, which
     is the centre exactly, so neither exact value grows further out.  Every
-    step that computes them keeps order: rounded products and quotients,
-    and an exp whose arguments at neighbouring k differ by far more than
-    its error.  So neither computed value grows further out either, no
-    later point can beat the sup, and the result equals the full scan's
-    bit for bit.
+    step that computes them keeps order: each decimal operation, exp and
+    sqrt included, is correctly rounded, and correct rounding never
+    reverses the order of two exact values.  So neither computed value
+    grows further out either, no later point can beat the sup, and the
+    result equals the full scan's bit for bit.
     """
     _check(ell, n)
     d = power(LatticeParams(ell, n))
     top = d.params.top
     denom = d.denominator
-    with mpmath.workprec(_PREC_BITS):
-        sqrt_n = mpmath.sqrt(n)
-        mu = mpmath.mpf(ell - 1) / 2
-        sigma = mpmath.sqrt(mpmath.mpf(ell * ell - 1) / 12)
-        norm = 1 / (sigma * mpmath.sqrt(2 * mpmath.pi))
-        mp_denom = mpmath.mpf(denom)
-        zero = mpmath.mpf(0)
+    with localcontext(_CONTEXT):
+        sqrt_n = Decimal(n).sqrt()
+        mu = Decimal(ell - 1) / 2
+        sigma = (Decimal(ell * ell - 1) / 12).sqrt()
+        norm = 1 / (sigma * (2 * _PI).sqrt())
+        zero = Decimal(0)
         sup = zero
         for ks in (range(top // 2, -2, -1), range(top // 2 + 1, top + 2)):
             for k in ks:
                 z = (k - n * mu) / (sigma * sqrt_n)
-                gauss = norm * mpmath.exp(-z * z / 2)
-                mass = sqrt_n * mpmath.mpf(d.numerators[k]) / mp_denom if 0 <= k <= top else zero
+                gauss = norm * (-z * z / 2).exp()
+                mass = sqrt_n * d.numerators[k] / denom if 0 <= k <= top else zero
                 dev = abs(mass - gauss)
                 if dev > sup:
                     sup = dev

@@ -33,6 +33,7 @@ from .sweep import (
     SweepConfig,
     SweepReport,
     SweepSummary,
+    _no_int_digit_limit,
     decimal_string,
     report_to_csv_bytes,
     report_to_json_bytes,
@@ -131,11 +132,7 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 def _sweep_config(args, file_values: dict[str, str], checks: tuple[str, ...]) -> SweepConfig:
     def pick(flag_value, key: str, fallback):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return file_values[key]
-        return fallback
+        return flag_value if flag_value is not None else file_values.get(key, fallback)
 
     ell_range = pick(args.ell_range, "ell_range", "2:10")
     n_range = pick(args.n_range, "n_range", "1:20")
@@ -223,12 +220,8 @@ def _cmd_verify(args) -> int:
     config = _sweep_config(args, file_values, checks)
     out = args.out if args.out is not None else file_values.get("out", "-")
     report = run_sweep(config)
-    data = (
-        report_to_json_bytes(report)
-        if config.output_format == "json"
-        else report_to_csv_bytes(report)
-    )
-    _write_bytes(out, data)
+    to_bytes = report_to_json_bytes if config.output_format == "json" else report_to_csv_bytes
+    _write_bytes(out, to_bytes(report))
     print(_summary_line(report), file=sys.stderr)
     return EXIT_OK if report.summary.clean else EXIT_VERIFICATION
 
@@ -254,23 +247,21 @@ def _cmd_asymptotics(args) -> int:
     if args.output_format == "csv":
         lines = ["n,concentration,ratio,sup_deviation"]
         lines += [f"{n},{c},{r},{s}" for n, c, r, s in rows]
-        text = "\n".join(lines) + "\n"
     else:
         header = f"{'n':>8}  {'concentration':<34}{'ratio':<20}{'sup_deviation'}"
         lines = [header]
         lines += [f"{n:>8}  {c:<34}{r:<20}{s}" for n, c, r, s in rows]
-        text = "\n".join(lines) + "\n"
-    _write_bytes(args.out, text.encode("utf-8"))
+    _write_bytes(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
     config = _sweep_config(args, {}, CHECKS)
     report = run_sweep(config)
-    base = Path(args.out)
-    base.parent.mkdir(parents=True, exist_ok=True)
-    base.with_suffix(".csv").write_bytes(report_to_csv_bytes(report))
-    base.with_suffix(".json").write_bytes(report_to_json_bytes(report))
+    csv_path, json_path = Path(f"{args.out}.csv"), Path(f"{args.out}.json")
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
+    csv_path.write_bytes(report_to_csv_bytes(report))
+    json_path.write_bytes(report_to_json_bytes(report))
     # the cells are sorted by check, and each check is summarized by the rule
     # that decides the whole report's exit code
     for check, cells in groupby(report.cells, key=lambda c: c.check):
@@ -278,7 +269,7 @@ def _cmd_report(args) -> int:
         status = "ok" if s.clean else f"{s.unexpected} unexpected"
         print(f"{check:<14} cells={s.cells:<6} {status}")
     print(_summary_line(report))
-    print(f"wrote {base.with_suffix('.csv')} and {base.with_suffix('.json')}")
+    print(f"wrote {csv_path} and {json_path}")
     return EXIT_OK if report.summary.clean else EXIT_VERIFICATION
 
 
@@ -297,25 +288,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses exit code 2 for usage errors
         return int(exc.code or 0)
-    # exact values may run to any number of digits; argv keeps the guard
-    set_limit = getattr(sys, "set_int_max_str_digits", None)
-    if set_limit is not None:
-        limit = sys.get_int_max_str_digits()
-        set_limit(0)
-    try:
-        return _COMMANDS[args.command](args)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    finally:
-        if set_limit is not None:
-            set_limit(limit)
+    # argv is parsed under the int-to-str digit limit; exact values are not
+    with _no_int_digit_limit():
+        try:
+            return _COMMANDS[args.command](args)
+        except ParameterError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except ConvergenceError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VERIFICATION
+        except OSError as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return EXIT_IO
 
 
 if __name__ == "__main__":

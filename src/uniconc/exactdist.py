@@ -173,7 +173,6 @@ def pair_concentration(params: LatticeParams) -> Fraction:
     """Maximum probability of two adjacent points, max_k P({k, k+1}), exact."""
     d = power(params)
     nums = d.numerators
-    if len(nums) == 1:
-        return Fraction(nums[0], d.denominator)
-    best = max(nums[k] + nums[k + 1] for k in range(len(nums) - 1))
+    # a one-point support (ell = 1) has no pair; its one point is the maximum
+    best = max((a + b for a, b in zip(nums, nums[1:])), default=nums[0])
     return Fraction(best, d.denominator)

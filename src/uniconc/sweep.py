@@ -13,8 +13,10 @@ import csv
 import io
 import json
 import os
+import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -221,6 +223,19 @@ def _interval_strings(iv: Interval) -> tuple[str, str]:
     return _dyadic_string(iv.lo), _dyadic_string(iv.hi)
 
 
+@contextmanager
+def _no_int_digit_limit():
+    """Lift the int-to-str digit limit, where the interpreter has one, for
+    the block: an exact value may run to any number of digits."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(limit)
+
+
 def _exact_strings(fr: Fraction) -> tuple[str, str]:
     """The report's two renderings of an exact value: decimal, then p/q."""
     return decimal_string(fr), f"{fr.numerator}/{fr.denominator}"
@@ -396,7 +411,9 @@ CHECKS = tuple(sorted(_CHECK_TABLE))
 def _run_point(task: tuple[int, int, tuple[str, ...], int]) -> list[SweepCell]:
     ell, n, checks, prec = task
     point = _Point(ell, n)
-    return [_CHECK_TABLE[check][0](point, prec) for check in checks]
+    # lifted here, not by the caller, because a pool worker runs only this
+    with _no_int_digit_limit():
+        return [_CHECK_TABLE[check][0](point, prec) for check in checks]
 
 
 def _tasks(config: SweepConfig) -> list[tuple[int, int, tuple[str, ...], int]]:

@@ -1,12 +1,15 @@
 """Local-CLT sharpness diagnostics."""
 
+import decimal
 import math
+from dataclasses import replace
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import uniconc.asymptotics as asymptotics
 from uniconc.asymptotics import clt_ratio, local_clt_sup_dev
 from uniconc.errors import ParameterError
 from uniconc.exactdist import LatticeParams, concentration, power
@@ -36,6 +39,14 @@ def full_scan_sup_dev(ell: int, n: int) -> float:
         return float(sup)
 
 
+def mpmath_clt_ratio(ell: int, n: int) -> float:
+    """The ratio by the same formula in mpmath at 128 bits."""
+    c = concentration(LatticeParams(ell, n))
+    with mpmath.workprec(128):
+        c_mp = mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
+        return float(mpmath.sqrt(n) * c_mp * mpmath.sqrt(mpmath.pi * (ell * ell - 1) / 6))
+
+
 def exact_ratio(ell: int, n: int) -> float:
     return clt_ratio(ell, n, concentration(LatticeParams(ell, n)))
 
@@ -57,6 +68,14 @@ class TestCltRatio:
                 math.pi * (ell * ell - 1) / 6
             )
             assert clt_ratio(ell, n, c) == pytest.approx(ref, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=2, max_value=12), st.integers(min_value=1, max_value=60))
+    @example(2, 1005)
+    @example(10, 300)
+    @example(5, 2)
+    def test_equals_the_mpmath_formula(self, ell, n):
+        assert exact_ratio(ell, n) == mpmath_clt_ratio(ell, n)
 
     @pytest.mark.parametrize("ell", [2, 3, 4])
     @pytest.mark.parametrize("n", [1, 3, 10, 50])
@@ -94,15 +113,29 @@ class TestSupDeviation:
         assert local_clt_sup_dev(ell, n) == full_scan_sup_dev(ell, n)
 
     def test_scan_stops_near_the_centre(self, monkeypatch):
-        calls = []
-        exp = mpmath.exp
+        reads = []
 
-        def counting_exp(x):
-            calls.append(x)
-            return exp(x)
+        class CountingTuple(tuple):
+            def __getitem__(self, k):
+                reads.append(k)
+                return super().__getitem__(k)
 
-        monkeypatch.setattr(mpmath, "exp", counting_exp)
+        def counting_power(params):
+            d = power(params)
+            return replace(d, numerators=CountingTuple(d.numerators))
+
+        monkeypatch.setattr(asymptotics, "power", counting_power)
         local_clt_sup_dev(2, 1005)
         # the support has 1,006 points; the Gaussian falls below the sup
         # about 65 points either side of the centre
-        assert 0 < len(calls) <= 200
+        assert 0 < len(reads) <= 200
+
+
+def test_caller_decimal_context_changes_nothing():
+    points = [(2, 1), (3, 2), (2, 100), (7, 40)]
+    expected = [(exact_ratio(ell, n), local_clt_sup_dev(ell, n)) for ell, n in points]
+    hostile = decimal.Context(prec=5, rounding=decimal.ROUND_FLOOR)
+    with decimal.localcontext(hostile):
+        got = [(exact_ratio(ell, n), local_clt_sup_dev(ell, n)) for ell, n in points]
+        assert decimal.getcontext().prec == 5
+    assert got == expected

@@ -4,9 +4,11 @@ import csv
 import importlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
@@ -24,7 +26,7 @@ import uniconc.sweep as sweep
 from uniconc.certify import Dyadic, Interval, Outcome, Verdict
 from uniconc.cli import main
 from uniconc.errors import ConvergenceError, ParameterError
-from uniconc.exactdist import ExactDensity, LatticeParams, power
+from uniconc.exactdist import ExactDensity, LatticeParams, concentration, power
 from uniconc.sweep import (
     CHECKS,
     CSV_COLUMNS,
@@ -258,8 +260,8 @@ class TestPackageSurface:
         # are loaded when it installs
         code = (
             "import sys, uniconc.cli; "
-            "print(sorted(m for m in ('numpy', 'uniconc.spectral', 'uniconc.asymptotics') "
-            "if m in sys.modules))"
+            "print(sorted(m for m in ('numpy', 'mpmath', 'uniconc.spectral', "
+            "'uniconc.asymptotics') if m in sys.modules))"
         )
         src = str(Path(uniconc.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": src}
@@ -507,6 +509,41 @@ class TestSweepEngine:
         r2 = run_sweep(SweepConfig((2, 5), (1, 6), checks, 128, "csv", 4))
         assert report_to_csv_bytes(r1) == report_to_csv_bytes(r2)
         assert report_to_json_bytes(r1) == report_to_json_bytes(r2)
+
+    @staticmethod
+    def exact_fraction(ell: int, n: int) -> str:
+        c = concentration(LatticeParams(ell, n))
+        with no_int_str_limit():
+            return f"{c.numerator}/{c.denominator}"
+
+    def test_exact_fraction_beyond_int_str_limit(self):
+        # c(10, 4400) has a denominator of about 4,400 digits
+        limit = int_str_limit()
+        report = run_sweep(SweepConfig((10, 10), (4400, 4400)))
+        assert int_str_limit() == limit
+        assert report.cells[0].exact_fraction == self.exact_fraction(10, 4400)
+
+    def test_spawned_workers_render_beyond_int_str_limit(self, capsys, monkeypatch):
+        # a spawned worker starts a fresh interpreter with the default limit
+        spawn = multiprocessing.get_context("spawn")
+        pools = []
+
+        def spawn_pool(max_workers):
+            pools.append(max_workers)
+            return ProcessPoolExecutor(max_workers=max_workers, mp_context=spawn)
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", spawn_pool)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+        limit = int_str_limit()
+        argv = ["verify", "--ell-range", "10:10", "--n-range", "4400:4401", "--parallelism", "2",
+                "--format", "json"]
+        assert main(argv) == 0
+        assert int_str_limit() == limit
+        assert pools == [2]
+        cells = json.loads(capsys.readouterr().out)["cells"]
+        assert [c["exact_fraction"] for c in cells] == [
+            self.exact_fraction(10, n) for n in (4400, 4401)
+        ]
 
     def test_bretagnolle_equality_at_two(self):
         report = run_sweep(SweepConfig((2, 2), (1, 5), ("bretagnolle",), 128, "csv", 1))
@@ -797,6 +834,18 @@ class TestReportCommand:
             "argmax", "bessel_chain", "bretagnolle", "corollary", "dsequence",
             "main", "moments", "oracle_equiv", "wallis",
         }
+
+    def test_dotted_basename_keeps_every_dot(self, tmp_path, capsys):
+        # the suffixes are appended: grid.v2 and grid.v3 write apart
+        runs = tmp_path / "runs"
+        for name in ("grid.v2", "grid.v3"):
+            argv = ["report", "--ell-range", "2:2", "--n-range", "1:2", "--out", str(runs / name)]
+            assert main(argv) == 0
+            last = capsys.readouterr().out.splitlines()[-1]
+            assert last == f"wrote {runs / name}.csv and {runs / name}.json"
+        assert sorted(p.name for p in runs.iterdir()) == [
+            "grid.v2.csv", "grid.v2.json", "grid.v3.csv", "grid.v3.json",
+        ]
 
     @staticmethod
     def check_lines(out: str) -> dict[str, str]:
