@@ -6,14 +6,16 @@ must not depend on rounding luck.  Each closed form is a
 ``certify.RootBound`` ``(a + b/sqrt(3)) * sqrt(r / pi**k)``, enclosed and
 compared by the certified engine (``certify.evaluate``,
 ``certify.verdict_between``); ``G`` is enclosed here, at the same precision, by
-directed integer series.
+``certify._series``, the one directed series summer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .certify import _GUARD_BITS, Interval, RootBound, _check_precision, _div, _round_ratio
+from .certify import (
+    _GUARD_BITS, Interval, RootBound, _check_precision, _div, _round_ratio, _series
+)
 from .errors import ParameterError, check_int
 
 __all__ = [
@@ -74,34 +76,16 @@ def bessel_chain_expr(n: int) -> RootBound:
 # G(lambda) = exp(-lambda) * (I0(lambda) + I1(lambda))
 # ---------------------------------------------------------------------------
 
-def _series(num: int, den, first: int, up: bool) -> int:
-    """sum_m t_m with t_0 = ``first`` and t_m = t_{m-1} * num / den(m), for
-    num >= 0 and den(m) > 0 increasing in m; every term is rounded in the
-    direction ``up`` by ``certify._div``.  Summation stops once t_m <= 1 and
-    every later ratio is below 1/2; the tail is then below t_m, and the upper
-    chain adds 2*t_m."""
-    total = term = first
-    m = 1
-    while True:
-        term = _div(term * num, den(m), up)
-        total += term
-        m += 1
-        if term <= 1 and 2 * num < den(m):
-            return total + 2 * term if up else total
-
-
 def bessel_G(lam, precision_bits: int) -> Interval:
     """Enclosure of G(lam) = exp(-lam) * (I0(lam) + I1(lam)) for rational
     lam >= 0 at ``precision_bits`` (64..16384), as ``certify.evaluate``.
 
     With x = lam**2/4, I0 = sum x**m / m!**2, I1 = (lam/2) sum x**m /
-    (m! (m+1)!) and exp(lam) = sum lam**k / k!.  ``_series`` sums each in
-    fixed point at scale 2**w, w = precision_bits + _GUARD_BITS, once as a
-    lower and once as an upper chain (``certify._div``).  Rigour: the lower
-    chain floors every term and drops the tail, and floors only lower; the
-    upper chain ceils every term, which only raises, and adds 2*t_m for the
-    tail; once every later ratio is below 1/2 the tail is geometric and
-    below t_m.
+    (m! (m+1)!) and exp(lam) = sum lam**k / k!.  ``certify._series``, the
+    one directed series summer, sums each in fixed point at scale 2**w,
+    w = precision_bits + _GUARD_BITS, once as a lower and once as an upper
+    chain; its docstring gives the rigour argument.  Every ratio here falls
+    with m, so once one is below 1/2 every later one is too.
     Width: the partial sums of I0 + I1 and of exp are at least 1 (2**w
     scaled), so each unit of rounding error is a relative error of at most
     2**-w.  G is the lower I0 + I1 over the upper exp and the upper over the
@@ -116,10 +100,11 @@ def bessel_G(lam, precision_bits: int) -> Interval:
     p, q = lam.numerator, lam.denominator
     bits = precision_bits + _GUARD_BITS
     one = 1 << bits
+    pp, qq = p * p, 4 * q * q
     ends = []
     for up in (False, True):
-        i0 = _series(p * p, lambda m: 4 * q * q * m * m, one, up)
-        i1 = _series(p * p, lambda m: 4 * q * q * m * (m + 1), _div(p * one, 2 * q, up), up)
-        e = _series(p, lambda m: q * m, one, not up)
+        i0 = _series(lambda m: (pp, qq * m * m), one, up)
+        i1 = _series(lambda m: (pp, qq * m * (m + 1)), _div(p * one, 2 * q, up), up)
+        e = _series(lambda m: (p, q * m), one, not up)
         ends.append(_round_ratio(i0 + i1, e, bits, up))
     return Interval(*ends)

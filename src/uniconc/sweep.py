@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -440,6 +439,10 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     if workers == 1:
         points = [_run_point(t) for t in tasks]
     else:
+        # imported here: the pool pulls in multiprocessing, which a serial
+        # run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(tasks) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             points = list(pool.map(_run_point, tasks, chunksize=chunk))

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uniconc.bounds import (
-    _series,
     bessel_G,
     bessel_chain_expr,
     corollary_bound_expr,
@@ -217,28 +216,6 @@ class TestBesselG:
             ref = frac_of_mpf(mpmath.exp(-lam) * (mpmath.besseli(0, lam) + mpmath.besseli(1, lam)))
         assert contains(g, ref)
         assert width_of(g) / ref <= Fraction(1, 2 ** (bits - 2))
-
-
-class TestSeriesChains:
-    """The directed fixed-point chains that bessel_G sums its series with."""
-
-    @pytest.mark.parametrize("k", [1, 2, 5, 40])
-    def test_exact_geometric_tail(self, k):
-        # the terms 4**(k-m) are exact, so only the tail separates the two
-        # chains from the sum 4**(k+1)/3
-        lower = _series(1, lambda m: 4, 4**k, False)
-        upper = _series(1, lambda m: 4, 4**k, True)
-        assert lower < Fraction(4 ** (k + 1), 3) < upper
-        assert upper - lower == 2
-
-    @settings(max_examples=60, deadline=None)
-    @given(p=st.integers(1, 200), q=st.integers(1, 3), w=st.integers(0, 64))
-    def test_exp_chains_bracket_the_scaled_sum(self, p, q, w):
-        lower = _series(p, lambda m: q * m, 2**w, False)
-        upper = _series(p, lambda m: q * m, 2**w, True)
-        with mpmath.workprec(w + 400):
-            ref = frac_of_mpf(mpmath.exp(mpmath.mpf(p) / q) * 2**w)
-        assert lower <= ref <= upper
 
 
 class TestBesselChainBound:

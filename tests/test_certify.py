@@ -1,5 +1,7 @@
 """Interval endpoints, enclosure soundness, and verdict semantics."""
 
+import sys
+import threading
 from dataclasses import fields
 from fractions import Fraction
 from math import floor, isqrt
@@ -20,7 +22,9 @@ from uniconc.certify import (
     evaluate,
     pi_enclosure,
     verdict_between,
+    _arctan_recip,
     _round_ratio,
+    _series,
     _sqrt_ratio,
 )
 from uniconc.errors import DomainError, ExpressionError, ParameterError
@@ -227,7 +231,63 @@ class TestSqrt:
             assert got == root
 
 
+class TestSeriesChains:
+    """The one directed series summer, which bessel_G and pi sum through."""
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 40])
+    def test_exact_geometric_tail(self, k):
+        # the terms 4**(k-m) are exact, so only the tail separates the two
+        # chains from the sum 4**(k+1)/3
+        lower = _series(lambda m: (1, 4), 4**k, False)
+        upper = _series(lambda m: (1, 4), 4**k, True)
+        assert lower < Fraction(4 ** (k + 1), 3) < upper
+        assert upper - lower == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(1, 200), q=st.integers(1, 3), w=st.integers(0, 64))
+    def test_exp_chains_bracket_the_scaled_sum(self, p, q, w):
+        lower = _series(lambda m: (p, q * m), 2**w, False)
+        upper = _series(lambda m: (p, q * m), 2**w, True)
+        with mpmath.workprec(w + 400):
+            ref = frac_of_mpf(mpmath.exp(mpmath.mpf(p) / q) * 2**w)
+        assert lower <= ref <= upper
+
+    @pytest.mark.parametrize("k", [1, 5, 40])
+    def test_stop_waits_for_a_ratio_below_half(self, k):
+        # k unit terms after the first, then ratio 1/4: the sum is k + 4/3,
+        # and a term of 1 alone must not end the upper chain
+        seen = []
+
+        def ratio(m):
+            seen.append(m)
+            return (1, 1) if m <= k else (1, 4)
+
+        lower, upper = (_series(ratio, 1, up) for up in (False, True))
+        assert lower < k + Fraction(4, 3) < upper
+        # one call per step: the pair read for the stop test makes the next term
+        assert seen == [*range(1, k + 2)] * 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(q=st.integers(2, 400), w=st.integers(0, 300))
+    @example(q=2, w=0)
+    @example(q=5, w=3)
+    @example(q=239, w=0)
+    def test_euler_arctan_chains_bracket(self, q, w):
+        lower, upper = (_arctan_recip(q, w, up) for up in (False, True))
+        with mpmath.workprec(w + 256):
+            ref = frac_of_mpf(mpmath.atan(mpmath.mpf(1) / q) * 2**w)
+        assert lower <= ref <= upper
+
+
 class TestPi:
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        # each test starts from an empty cache, and one that patches a
+        # series leaves nothing in it
+        certify._pi.cache_clear()
+        yield
+        certify._pi.cache_clear()
+
     def test_contains_reference(self):
         for bits in (16, 53, 256, 1024):
             iv = pi_enclosure(bits)
@@ -254,12 +314,72 @@ class TestPi:
         for bits in (16, 53):
             assert contains(pi_enclosure(bits), PI_REF)
 
-        def refuse(q, bits):
-            raise AssertionError(f"arctan(1/{q}) series started at {bits} bits")
+        def refuse(ratio, first, up):
+            raise AssertionError(f"a series started at {first.bit_length()} bits")
 
-        monkeypatch.setattr(certify, "_arctan_recip_bounds", refuse)
-        with pytest.raises(ParameterError):
-            pi_enclosure(certify._MAX_PRECISION_BITS + certify._GUARD_BITS + 1)
+        monkeypatch.setattr(certify, "_series", refuse)
+        # the cache sits behind the check, so no precision reaches a series
+        for bits in (certify._MAX_PRECISION_BITS + certify._GUARD_BITS + 1, 4, True):
+            with pytest.raises(ParameterError):
+                pi_enclosure(bits)
+
+    @settings(max_examples=40, deadline=None)
+    @given(bits=st.integers(8, 3000))
+    @example(bits=certify._MAX_PRECISION_BITS + certify._GUARD_BITS)
+    def test_contains_pi_within_the_requested_width(self, bits):
+        iv = pi_enclosure(bits)
+        with mpmath.workprec(bits + 128):
+            ref = frac_of_mpf(+mpmath.pi)
+        assert contains(iv, ref)
+        assert width_of(iv) <= Fraction(1, 2**bits)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        bits=st.integers(8, 200),
+        slack=st.fixed_dictionaries(
+            {(q, up): st.integers(0, 2**70) for q in (5, 239) for up in (False, True)}
+        ),
+    )
+    @example(bits=53, slack={(5, False): 0, (5, True): 0, (239, False): 2**20, (239, True): 0})
+    @example(bits=53, slack={(5, False): 0, (5, True): 0, (239, False): 0, (239, True): 2**20})
+    def test_sound_for_any_sound_arctangent_bounds(self, bits, slack):
+        # each end must take each arctangent's bound from the side that keeps
+        # pi inside, however loose the other side is
+        def loose(q, w, up):
+            with mpmath.workprec(w + 128):
+                exact = mpmath.atan(mpmath.mpf(1) / q) * 2**w
+                end = int(mpmath.ceil(exact)) if up else int(mpmath.floor(exact))
+            return end + slack[q, up] if up else end - slack[q, up]
+
+        certify._pi.cache_clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(certify, "_arctan_recip", loose)
+            iv = pi_enclosure(bits)
+        certify._pi.cache_clear()
+        assert contains(iv, PI_REF)
+
+    def test_threads_share_one_fresh_precision(self):
+        start = threading.Barrier(8, timeout=30)
+        results = []
+
+        def request():
+            start.wait()
+            results.append(pi_enclosure(997))
+
+        threads = [threading.Thread(target=request) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 8
+        assert all(iv == results[0] for iv in results)
+        assert contains(results[0], PI_REF)
 
 
 class TestRootBound:

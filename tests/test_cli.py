@@ -1,5 +1,6 @@
 """CLI surface and sweep-report contracts."""
 
+import concurrent.futures
 import csv
 import importlib
 import io
@@ -261,7 +262,8 @@ class TestPackageSurface:
         code = (
             "import sys, uniconc.cli; "
             "print(sorted(m for m in ('numpy', 'mpmath', 'uniconc.spectral', "
-            "'uniconc.asymptotics') if m in sys.modules))"
+            "'uniconc.asymptotics', 'concurrent.futures.process', 'multiprocessing') "
+            "if m in sys.modules))"
         )
         src = str(Path(uniconc.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": src}
@@ -532,7 +534,8 @@ class TestSweepEngine:
             pools.append(max_workers)
             return ProcessPoolExecutor(max_workers=max_workers, mp_context=spawn)
 
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", spawn_pool)
+        # run_sweep imports the pool when it needs one, so patch its home
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawn_pool)
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
         limit = int_str_limit()
         argv = ["verify", "--ell-range", "10:10", "--n-range", "4400:4401", "--parallelism", "2",
