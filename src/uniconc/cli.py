@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from itertools import groupby
 from pathlib import Path
 
@@ -35,9 +36,9 @@ from .sweep import (
     SweepSummary,
     _no_int_digit_limit,
     decimal_string,
-    report_to_csv_bytes,
-    report_to_json_bytes,
     run_sweep,
+    write_report_csv,
+    write_report_json,
 )
 
 EXIT_OK = 0
@@ -198,11 +199,16 @@ def _cmd_conc(args) -> int:
     return EXIT_OK
 
 
-def _write_bytes(path: str | None, data: bytes) -> None:
+@contextmanager
+def _output(path: str | Path | None):
+    """The text stream an output goes to: ``sys.stdout`` as it is at the
+    call, for no path or -, else the file, written as UTF-8 with every
+    newline as given and closed on exit."""
     if path is None or path == "-":
-        sys.stdout.write(data.decode("utf-8"))
+        yield sys.stdout
         return
-    Path(path).write_bytes(data)
+    with open(path, "w", encoding="utf-8", newline="") as out:
+        yield out
 
 
 def _summary_line(report: SweepReport) -> str:
@@ -220,8 +226,9 @@ def _cmd_verify(args) -> int:
     config = _sweep_config(args, file_values, checks)
     out = args.out if args.out is not None else file_values.get("out", "-")
     report = run_sweep(config)
-    to_bytes = report_to_json_bytes if config.output_format == "json" else report_to_csv_bytes
-    _write_bytes(out, to_bytes(report))
+    write = write_report_json if config.output_format == "json" else write_report_csv
+    with _output(out) as stream:
+        write(report, stream)
     print(_summary_line(report), file=sys.stderr)
     return EXIT_OK if report.summary.clean else EXIT_VERIFICATION
 
@@ -251,7 +258,8 @@ def _cmd_asymptotics(args) -> int:
         header = f"{'n':>8}  {'concentration':<34}{'ratio':<20}{'sup_deviation'}"
         lines = [header]
         lines += [f"{n:>8}  {c:<34}{r:<20}{s}" for n, c, r, s in rows]
-    _write_bytes(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
+    with _output(args.out) as out:
+        out.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -260,8 +268,9 @@ def _cmd_report(args) -> int:
     report = run_sweep(config)
     csv_path, json_path = Path(f"{args.out}.csv"), Path(f"{args.out}.json")
     csv_path.parent.mkdir(parents=True, exist_ok=True)
-    csv_path.write_bytes(report_to_csv_bytes(report))
-    json_path.write_bytes(report_to_json_bytes(report))
+    for path, write in ((csv_path, write_report_csv), (json_path, write_report_json)):
+        with _output(path) as out:
+            write(report, out)
     # the cells are sorted by check, and each check is summarized by the rule
     # that decides the whole report's exit code
     for check, cells in groupby(report.cells, key=lambda c: c.check):

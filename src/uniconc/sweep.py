@@ -16,10 +16,13 @@ import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _json_str
 from math import comb
+from operator import attrgetter
+from typing import TextIO
 
 from . import bounds
 from .certify import (
@@ -52,6 +55,8 @@ __all__ = [
     "run_sweep",
     "report_to_csv_bytes",
     "report_to_json_bytes",
+    "write_report_csv",
+    "write_report_json",
     "decimal_string",
     "CSV_COLUMNS",
 ]
@@ -455,21 +460,53 @@ def run_sweep(config: SweepConfig) -> SweepReport:
 # serialization
 # ---------------------------------------------------------------------------
 
+def write_report_csv(report: SweepReport, out: TextIO) -> None:
+    """Write the report as CSV to a text stream, one row at a time."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(map(attrgetter(*CSV_COLUMNS), report.cells))
+
+
+def write_report_json(report: SweepReport, out: TextIO) -> None:
+    """Write the report to a text stream, one cell at a time, as the bytes of
+    ``json.dumps(document, indent=2) + "\\n"``, where the document holds the
+    config, every cell's fields in order and the summary."""
+    # json escapes every newline inside a string, so each newline of the
+    # config's own dump is a line break to indent one level further
+    config = json.dumps(report.config.serializable(), indent=2).replace("\n", "\n  ")
+    out.write(f'{{\n  "config": {config},\n  "cells": [')
+    cell = _json_object(SweepCell, "    ")
+    sep = "\n    "
+    for c in report.cells:
+        out.write(sep + cell(c))
+        sep = ",\n    "
+    close = "\n  ]" if report.cells else "]"
+    summary = _json_object(SweepSummary, "  ")(report.summary)
+    out.write(f'{close},\n  "summary": {summary}\n}}\n')
+
+
+def _json_object(cls, indent: str):
+    """The function that renders an instance of the dataclass ``cls``, whose
+    fields are all str or int, as ``json.dumps(vars(instance), indent=2)``
+    reads nested ``indent`` deep.  Fields are read by name, because ``vars``
+    would leave a dict on every instance."""
+    names = [f.name for f in fields(cls)]
+    lines = ",".join(f"\n{indent}  {_json_str(name)}: {{}}" for name in names)
+    template = f"{{{{{lines}\n{indent}}}}}"
+    values = attrgetter(*names)
+    # json writes a str by encode_basestring_ascii and an int by int.__repr__
+    return lambda record: template.format(
+        *[_json_str(v) if isinstance(v, str) else int.__repr__(v) for v in values(record)]
+    )
+
+
 def report_to_csv_bytes(report: SweepReport) -> bytes:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for c in report.cells:
-        writer.writerow([getattr(c, col) for col in CSV_COLUMNS])
+    write_report_csv(report, buf)
     return buf.getvalue().encode("utf-8")
 
 
 def report_to_json_bytes(report: SweepReport) -> bytes:
-    obj = {
-        "config": report.config.serializable(),
-        # every field is a str or int, so vars keeps the field order without
-        # the deep copy asdict makes
-        "cells": [vars(c) for c in report.cells],
-        "summary": vars(report.summary),
-    }
-    return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
+    buf = io.StringIO()
+    write_report_json(report, buf)
+    return buf.getvalue().encode("utf-8")

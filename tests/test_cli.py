@@ -10,7 +10,7 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -370,6 +370,23 @@ class TestVerifyCommand:
         assert code == 0
         captured = capsys.readouterr()
         assert captured.out.startswith("ell,n,check,")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_file_and_bytes_agree(self, tmp_path, fmt):
+        argv = ["verify", "--checks", "main,corollary,wallis", "--ell-range", "2:4",
+                "--n-range", "1:6", "--format", fmt]
+        # stdout redirected to a file at run time, as the benchmark's worker
+        # runs its queries
+        piped = tmp_path / "stdout"
+        with open(piped, "w", encoding="utf-8") as so, redirect_stdout(so), \
+                redirect_stderr(io.StringIO()):
+            assert main([*argv, "--out", "-"]) == 0
+        out = tmp_path / f"r.{fmt}"
+        with redirect_stderr(io.StringIO()):
+            assert main([*argv, "--out", str(out)]) == 0
+        report = run_sweep(SweepConfig((2, 4), (1, 6), ("main", "corollary", "wallis"), 256, fmt))
+        to_bytes = report_to_json_bytes if fmt == "json" else report_to_csv_bytes
+        assert piped.read_bytes() == out.read_bytes() == to_bytes(report)
 
     def test_config_file_flags_win(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
@@ -837,6 +854,13 @@ class TestReportCommand:
             "argmax", "bessel_chain", "bretagnolle", "corollary", "dsequence",
             "main", "moments", "oracle_equiv", "wallis",
         }
+
+    def test_files_equal_the_bytes_functions(self, tmp_path, capsys):
+        base = tmp_path / "B"
+        assert main(["report", "--ell-range", "2:4", "--n-range", "1:2", "--out", str(base)]) == 0
+        report = run_sweep(SweepConfig((2, 4), (1, 2), CHECKS))
+        assert (tmp_path / "B.csv").read_bytes() == report_to_csv_bytes(report)
+        assert (tmp_path / "B.json").read_bytes() == report_to_json_bytes(report)
 
     def test_dotted_basename_keeps_every_dot(self, tmp_path, capsys):
         # the suffixes are appended: grid.v2 and grid.v3 write apart
