@@ -8,7 +8,7 @@ Subcommands:
   report       full check suite over a grid, CSV + JSON side by side
 
 Exit codes: 0 success / verified, 1 verification mismatch or inconclusive
-result (a quadrature that does not converge is inconclusive too), 2 usage
+result (a Fourier sum whose cross-check misses --tol is inconclusive too), 2 usage
 error, 3 I/O error.
 """
 
@@ -78,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="convolution power")
     p.add_argument("--k", type=int, default=None, help="point to evaluate; omit for the whole support")
     p.add_argument("--method", choices=("exact", "demoivre", "fourier"), default="exact")
-    p.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance for --method fourier")
+    p.add_argument("--tol", type=float, default=1e-10, help="rounding tolerance for --method fourier")
 
     p = sub.add_parser("conc", help="maximal probability of the n-fold uniform sum")
     p.add_argument("--ell", type=int, required=True)
@@ -155,7 +155,7 @@ def _cmd_pmf(args) -> int:
     denom = args.ell**args.n
 
     if args.method == "fourier":
-        # imported here so that no other command loads numpy
+        # imported here so that no other command loads the oracle
         from .spectral import fourier_pmf
 
         ks = [args.k] if args.k is not None else range(params.top + 1)

@@ -17,9 +17,10 @@ class ExpressionError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Quadrature did not reach the requested tolerance within its budget.
+    """A numeric sum and its cross-check differ by more than the requested
+    tolerance.
 
-    Carries the best estimate obtained so far in ``best``.
+    Carries the result and its error estimate in ``best``.
     """
 
     def __init__(self, message, best):

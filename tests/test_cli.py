@@ -204,9 +204,9 @@ class TestPmfCommand:
     @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
     def test_fourier_bad_tolerance_exit_usage(self, tol, capsys, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("_refine started")
+            raise AssertionError("sampling started")
 
-        monkeypatch.setattr(spectral, "_refine", refuse)
+        monkeypatch.setattr(spectral, "_kernel_powers", refuse)
         argv = ["pmf", "--ell", "3", "--n", "4", "--k", "4", "--method", "fourier", "--tol", tol]
         assert main(argv) == 2
         assert "tol must be finite and positive" in capsys.readouterr().err
@@ -247,10 +247,7 @@ FORMER_ROOT_EXPORTS = {
         "ExactDensity", "LatticeParams", "argmax_set", "concentration", "de_moivre_pmf",
         "moments", "pair_concentration", "power",
     ),
-    "spectral": (
-        "QuadratureResult", "charfn_kernel", "chebyshev_lemma_check",
-        "fourier_pmf", "i1_majorant", "i2_majorant", "split_integrals", "wallis_integral",
-    ),
+    "spectral": ("QuadratureResult", "fourier_pmf", "split_integrals"),
     "sweep": ("SweepCell", "SweepConfig", "SweepReport", "SweepSummary", "run_sweep"),
 }
 

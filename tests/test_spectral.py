@@ -1,23 +1,68 @@
-"""Quadrature oracle, inversion-integral split, and the integral lemmas."""
+"""Fourier-inversion oracle, inversion-integral split, and the integral lemmas.
+
+The lemmas of the paper's proof (the Wallis integral, the Chebyshev product
+inequality and the closed-form majorants of both parts of the split) are
+stated here by test-local helpers over ``mpmath.quad``; the package computes
+only the two inversion sums."""
 
 import math
+from collections import namedtuple
 
-import numpy as np
+import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import uniconc.spectral as spectral
-from uniconc.errors import ConvergenceError, DomainError, ParameterError
+from uniconc.errors import ConvergenceError, ParameterError, check_int
 from uniconc.exactdist import LatticeParams, concentration, power
-from uniconc.spectral import (
-    QuadratureResult,
-    charfn_kernel,
-    chebyshev_lemma_check,
-    fourier_pmf,
-    i1_majorant,
-    i2_majorant,
-    split_integrals,
-    wallis_integral,
-)
+from uniconc.spectral import QuadratureResult, fourier_pmf, split_integrals
+
+Integral = namedtuple("Integral", "value error_estimate")
+
+
+def wallis_integral(lam, tol=1e-9):
+    """Integral of sin(t)**lam over [0, pi/2] for lam > 0."""
+    if not lam > 0:  # NaN too
+        raise ParameterError(f"lambda must be positive, got {lam}")
+    spectral._check_tol(tol)
+    value, error = mpmath.quad(lambda t: mpmath.sin(t) ** lam, [0, mpmath.pi / 2], error=True)
+    return Integral(float(value), float(error))
+
+
+def chebyshev_lemma_check(f, g, a, tol=1e-8):
+    """The product-integral inequality int f*g <= (1/2a) * int f * int g
+    over [-a, a], compared with slack tol.
+
+    It holds for f even and decreasing on [0, a] and g convex; under a
+    violated hypothesis False is a legitimate answer.
+    """
+    if not a > 0:  # NaN too
+        raise ParameterError(f"a must be positive, got {a}")
+    spectral._check_tol(tol)
+
+    def integral(h):
+        return mpmath.quad(h, [-a, 0, a])  # a node at 0, where f may have a kink
+
+    return integral(lambda x: f(x) * g(x)) <= integral(f) * integral(g) / (2 * a) + tol
+
+
+def i1_majorant(ell, n):
+    """The proof's bound for the rescaled inner integral:
+    1 - 3/(20n) + 21/(160n**2)."""
+    check_int("ell", ell, 2)
+    check_int("n", n, 1)
+    return 1.0 - 3.0 / (20.0 * n) + 21.0 / (160.0 * n * n)
+
+
+def i2_majorant(ell, n):
+    """The proof's bound for the outer integral: zero for odd n, and
+    sqrt(2/(pi*n)) / (ell*(n-1)*2**(n-1)) for even n."""
+    check_int("ell", ell, 2)
+    check_int("n", n, 1)
+    if n % 2 == 1:
+        return 0.0
+    return math.sqrt(2.0 / (math.pi * n)) / (ell * (n - 1) * 2.0 ** (n - 1))
 
 
 class TestSplitParams:
@@ -34,37 +79,24 @@ class TestSplitParams:
 
 
 class TestKernel:
+    """The samples K(pi*j/N)**n, K(t) = sin(ell*t)/(ell*sin t), behind every sum."""
+
     def test_removable_singularity(self):
-        assert charfn_kernel(3, 0.0) == 1.0
+        assert spectral._kernel_powers(3, 1, 8)[0] == 1.0
 
     def test_zero_of_numerator(self):
-        assert abs(charfn_kernel(2, math.pi / 2)) < 1e-15
+        assert abs(spectral._kernel_powers(2, 1, 2)[1]) < 1e-15  # t = pi/2
 
     def test_quarter_pi(self):
-        assert charfn_kernel(2, math.pi / 4) == pytest.approx(1 / math.sqrt(2), abs=1e-15)
+        assert spectral._kernel_powers(2, 1, 4)[1] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
 
     def test_point_mass_kernel_is_one(self):
-        assert charfn_kernel(1, 0.7) == pytest.approx(1.0, abs=1e-15)
-
-    def test_domain_checked(self):
-        with pytest.raises(DomainError):
-            charfn_kernel(3, -0.1)
-        with pytest.raises(DomainError):
-            charfn_kernel(3, 2.0)
-
-    def test_series_matches_direct_ratio_below_crossover(self):
-        eps = spectral._SERIES_CROSSOVER
-        for ell in (2, 5, 20, 50):
-            for t in (eps * 0.999, eps * 0.5, eps * 0.01):
-                series = charfn_kernel(ell, t)
-                direct = math.sin(ell * t) / (ell * math.sin(t))
-                assert series == pytest.approx(direct, rel=1e-13)
+        assert spectral._kernel_powers(1, 1, 9) == pytest.approx([1.0] * 9, abs=1e-15)
 
     @pytest.mark.parametrize("ell", range(2, 21))
     def test_bounded_by_one(self, ell):
-        t = np.linspace(0.0, math.pi / 2, 4001)
-        vals = spectral._kernel_array(ell, t)
-        assert np.all(np.abs(vals) <= 1.0 + 1e-14)
+        vals = spectral._kernel_powers(ell, 1, 4001)
+        assert all(abs(v) <= 1.0 + 1e-14 for v in vals)
 
 
 class TestFourierPmf:
@@ -78,8 +110,15 @@ class TestFourierPmf:
         assert r.value == pytest.approx(7 / 27, abs=1e-10)
 
     def test_outside_support(self):
-        r = fourier_pmf(2, 1, 5, 1e-11)
-        assert abs(r.value) <= 1e-10
+        # with top + 1 nodes for every k these alias to 0.5, 0.111, 0.333
+        # and 0.024: the nodes must exceed max(|k|, |top - k|)
+        for ell, n, k in [(2, 1, 5), (3, 2, 9), (3, 2, -3), (5, 3, 40), (3, 4, -1), (3, 4, -60),
+                          (2, 3, 200)]:
+            r = fourier_pmf(ell, n, k, 1e-11)
+            assert abs(r.value) <= 1e-10, (ell, n, k)
+        # far out, m*j reaches 4e10; only angles reduced in integers keep
+        # the sum at rounding level (1e-12 unreduced)
+        assert abs(fourier_pmf(3, 4, 10**5).value) <= 1e-14
 
     @pytest.mark.parametrize("ell,n", [(2, 6), (3, 5), (5, 3)])
     def test_whole_support_against_exact(self, ell, n):
@@ -118,6 +157,50 @@ class TestSplitIntegrals:
         inner, outer = split_integrals(ell, n, 1e-11)
         exact = float(concentration(LatticeParams(ell, n)))
         assert inner.value + outer.value == pytest.approx(exact, abs=1e-10)
+
+
+@st.composite
+def lattice_points(draw):
+    """(ell, n, k) with ell 2..12, n 1..40 and k up to 2*top past either end
+    of the support."""
+    ell = draw(st.integers(2, 12))
+    n = draw(st.integers(1, 40))
+    top = n * (ell - 1)
+    return ell, n, draw(st.integers(-2 * top - 3, 3 * top + 3))
+
+
+lattices = st.tuples(st.integers(2, 12), st.integers(1, 40))
+
+
+class TestProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(lattice_points())
+    @example((2, 1, 5))
+    @example((3, 2, -3))
+    @example((12, 40, 220))
+    def test_pmf_matches_exact(self, point):
+        ell, n, k = point
+        exact = float(power(LatticeParams(ell, n)).pmf(k))
+        assert abs(fourier_pmf(ell, n, k).value - exact) <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(lattices)
+    @example((12, 40))
+    def test_pmf_sums_to_one(self, lattice):
+        ell, n = lattice
+        total = math.fsum(fourier_pmf(ell, n, k).value for k in range(n * (ell - 1) + 1))
+        assert abs(total - 1.0) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(lattices)
+    @example((12, 40))
+    @example((2, 1))
+    def test_split_reproduces_concentration(self, lattice):
+        ell, n = lattice
+        inner, outer = split_integrals(ell, n)
+        assert abs(inner.value + outer.value - float(concentration(LatticeParams(ell, n)))) <= 1e-12
+        if n % 2 == 1:
+            assert outer.value <= 1e-12
 
 
 class TestMajorants:
@@ -173,16 +256,14 @@ class TestWallisIntegral:
 
 class TestChebyshevLemma:
     def test_constant_weight_gives_equality(self):
-        assert chebyshev_lemma_check(lambda x: np.ones_like(x), lambda x: x**2, 1.0, 1e-8)
+        assert chebyshev_lemma_check(lambda x: 1, lambda x: x**2, 1.0, 1e-8)
 
     def test_tent_weight(self):
         # int f*g = 1/6 strictly below (1/2a) int f int g = 1/3
-        assert chebyshev_lemma_check(lambda x: 1 - np.abs(x), lambda x: x**2, 1.0, 1e-8)
+        assert chebyshev_lemma_check(lambda x: 1 - abs(x), lambda x: x**2, 1.0, 1e-8)
 
     def test_gaussian_weight_exponential(self):
-        assert chebyshev_lemma_check(
-            lambda x: np.exp(-(x**2)), lambda x: np.exp(x), 2.0, 1e-8
-        )
+        assert chebyshev_lemma_check(lambda x: mpmath.exp(-(x**2)), mpmath.exp, 2.0, 1e-8)
 
     def test_violated_hypothesis_can_fail(self):
         # f = x**2 is even but increasing on [0, a]; the inequality flips
@@ -194,32 +275,35 @@ class TestChebyshevLemma:
 
 
 class TestConvergenceBudget:
-    def test_error_carries_best_estimate(self, monkeypatch):
-        monkeypatch.setattr(spectral, "_MAX_PANELS", 16)
+    def test_error_carries_best_estimate(self):
+        # at the centre of (3, 1503) the two exact sums differ by rounding
+        # of about 1e-13, far above this tol
         with pytest.raises(ConvergenceError) as info:
-            wallis_integral(0.5, 1e-13)
+            fourier_pmf(3, 1503, 1503, 1e-17)
         best = info.value.best
         assert isinstance(best, QuadratureResult)
-        assert best.value == pytest.approx(1.1981402347355923, rel=1e-3)
+        assert best.error_estimate > 1e-17
+        assert best.value == pytest.approx(float(concentration(LatticeParams(3, 1503))), abs=1e-11)
 
 
 class TestToleranceCheck:
-    """NaN passes ``tol <= 0``; every quadrature entry point must reject it,
-    and infinities and zero, before any refinement starts."""
+    """NaN passes ``tol <= 0``; every entry point that takes a tolerance,
+    the package's sums and the tests' reference integrals alike, must reject
+    it, and infinities and zero, before any sampling starts."""
 
     @pytest.fixture(autouse=True)
-    def no_refine(self, monkeypatch):
+    def no_sampling(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("_refine started")
+            raise AssertionError("sampling started")
 
-        monkeypatch.setattr(spectral, "_refine", refuse)
+        monkeypatch.setattr(spectral, "_kernel_powers", refuse)
 
     CALLS = {
         "fourier_pmf": lambda tol: fourier_pmf(3, 4, 4, tol),
         "split_integrals": lambda tol: split_integrals(3, 4, tol),
         "wallis_integral": lambda tol: wallis_integral(0.5, tol),
         "chebyshev_lemma_check": lambda tol: chebyshev_lemma_check(
-            lambda x: np.ones_like(x), lambda x: x**2, 1.0, tol
+            lambda x: 1, lambda x: x**2, 1.0, tol
         ),
     }
 
