@@ -46,7 +46,7 @@ EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-# the keys a --config file may set, one per verify option
+# the keys a --config file may set, each the dest of its verify flag
 _CONFIG_KEYS = ("ell_range", "n_range", "checks", "precision_bits", "format", "out", "parallelism")
 
 
@@ -87,10 +87,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="certified sweep over a (ell, n) grid")
     _add_sweep_args(p)
-    p.add_argument("--checks", default=None, help=f"comma list from {','.join(CHECKS)} (default: main)")
-    p.add_argument("--format", dest="output_format", choices=("csv", "json"), default=None)
-    p.add_argument("--out", default=None, help="output path, - for stdout (default)")
-    p.add_argument("--config", default=None, help="key=value file; explicit flags win")
+    p.add_argument("--checks", help=f"comma list from {','.join(CHECKS)}")
+    p.add_argument("--format", help="csv or json")
+    p.add_argument("--out", help="output path, - for stdout (default)")
+    p.add_argument("--config", help="key=value file; explicit flags win")
 
     p = sub.add_parser("asymptotics", help="sharpness diagnostics for growing n")
     p.add_argument("--ell", type=int, required=True)
@@ -105,10 +105,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_sweep_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ell-range", default=None, help="lattice sizes A:B")
-    p.add_argument("--n-range", default=None, help="convolution powers A:B")
-    p.add_argument("--precision-bits", type=int, default=None)
-    p.add_argument("--parallelism", type=int, default=None)
+    p.add_argument("--ell-range", help="lattice sizes A:B")
+    p.add_argument("--n-range", help="convolution powers A:B")
+    p.add_argument("--precision-bits")
+    p.add_argument("--parallelism")
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -131,23 +131,26 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _sweep_config(args, file_values: dict[str, str], checks: tuple[str, ...]) -> SweepConfig:
-    def pick(flag_value, key: str, fallback):
-        return flag_value if flag_value is not None else file_values.get(key, fallback)
+def _flags(args) -> dict[str, str]:
+    """The text of every setting given as a flag, by its config key."""
+    return {key: text for key in _CONFIG_KEYS if (text := getattr(args, key, None)) is not None}
 
-    ell_range = pick(args.ell_range, "ell_range", "2:10")
-    n_range = pick(args.n_range, "n_range", "1:20")
-    precision = pick(args.precision_bits, "precision_bits", 256)
-    parallelism = pick(args.parallelism, "parallelism", 1)
-    output_format = pick(getattr(args, "output_format", None), "format", "csv")
-    return SweepConfig(
-        ell_range=_parse_range(str(ell_range)),
-        n_range=_parse_range(str(n_range)),
-        checks=checks,
-        precision_bits=_parse_int("precision_bits", precision),
-        output_format=str(output_format),
-        parallelism=_parse_int("parallelism", parallelism),
-    )
+
+def _sweep_config(given: dict[str, str], **settings) -> SweepConfig:
+    """The SweepConfig of ``settings`` and of the given settings' text, flag
+    or config value alike, each parsed by the one parser of its kind.  Other
+    keys are not sweep settings, and a setting not given takes the default of
+    its SweepConfig field."""
+    for key, text in given.items():
+        if key in ("ell_range", "n_range"):
+            settings[key] = _parse_range(text)
+        elif key in ("precision_bits", "parallelism"):
+            settings[key] = _parse_int(key, text)
+        elif key == "checks":
+            settings[key] = tuple(c.strip() for c in text.split(",") if c.strip())
+        elif key == "format":
+            settings["output_format"] = text
+    return SweepConfig(**settings)
 
 
 def _cmd_pmf(args) -> int:
@@ -166,11 +169,12 @@ def _cmd_pmf(args) -> int:
         return EXIT_OK
 
     if args.k is not None:
-        value = (
-            de_moivre_pmf(params, args.k)
-            if args.method == "demoivre"
-            else power(params).pmf(args.k)
-        )
+        if not 0 <= args.k <= params.top:
+            value = 0
+        elif args.method == "demoivre":
+            value = de_moivre_pmf(params, args.k)
+        else:
+            value = power(params).pmf(args.k)
         if value == 0:
             print("0")
         elif value.denominator == denom:
@@ -220,14 +224,11 @@ def _summary_line(report: SweepReport) -> str:
 
 
 def _cmd_verify(args) -> int:
-    file_values = _read_config_file(args.config) if args.config else {}
-    checks_text = args.checks if args.checks is not None else file_values.get("checks", "main")
-    checks = tuple(c.strip() for c in checks_text.split(",") if c.strip())
-    config = _sweep_config(args, file_values, checks)
-    out = args.out if args.out is not None else file_values.get("out", "-")
-    report = run_sweep(config)
-    write = write_report_json if config.output_format == "json" else write_report_csv
-    with _output(out) as stream:
+    given = _read_config_file(args.config) if args.config else {}
+    given.update(_flags(args))
+    report = run_sweep(_sweep_config(given))
+    write = write_report_json if report.config.output_format == "json" else write_report_csv
+    with _output(given.get("out")) as stream:
         write(report, stream)
     print(_summary_line(report), file=sys.stderr)
     return EXIT_OK if report.summary.clean else EXIT_VERIFICATION
@@ -264,8 +265,7 @@ def _cmd_asymptotics(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    config = _sweep_config(args, {}, CHECKS)
-    report = run_sweep(config)
+    report = run_sweep(_sweep_config(_flags(args), checks=CHECKS))
     csv_path, json_path = Path(f"{args.out}.csv"), Path(f"{args.out}.json")
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     for path, write in ((csv_path, write_report_csv), (json_path, write_report_json)):

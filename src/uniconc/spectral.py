@@ -21,6 +21,10 @@ from .errors import ConvergenceError, ParameterError, check_int
 
 __all__ = ["QuadratureResult", "fourier_pmf", "split_integrals"]
 
+# a sum keeps a float per node, and the nodes grow with |k|: far outside the
+# support, where the value is 0, a sum would take seconds, so it is refused
+_MAX_NODES = 2**20
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -79,6 +83,8 @@ def fourier_pmf(ell: int, n: int, k: int, tol: float = 1e-10) -> QuadratureResul
     m = n * (ell - 1) - 2 * k
     # the integrand's degree in 2t, max(|k|, |top - k|), plus one
     nodes = (n * (ell - 1) + abs(m)) // 2 + 1
+    if nodes + 1 > _MAX_NODES:
+        raise ParameterError(f"k={k} at ell={ell}, n={n} needs {nodes + 1} nodes; cap {_MAX_NODES}")
     values = tuple(_cosine_sum(_kernel_powers(ell, n, N), m) for N in (nodes, nodes + 1))
     return _cross_checked(values, nodes, tol)
 

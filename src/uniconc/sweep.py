@@ -10,7 +10,6 @@ depend on the execution order or the level of parallelism.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 import sys
@@ -53,8 +52,6 @@ __all__ = [
     "SweepSummary",
     "SweepReport",
     "run_sweep",
-    "report_to_csv_bytes",
-    "report_to_json_bytes",
     "write_report_csv",
     "write_report_json",
     "decimal_string",
@@ -76,8 +73,8 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class SweepConfig:
-    ell_range: tuple[int, int]
-    n_range: tuple[int, int]
+    ell_range: tuple[int, int] = (2, 10)
+    n_range: tuple[int, int] = (1, 20)
     checks: tuple[str, ...] = ("main",)
     precision_bits: int = 256
     output_format: str = "csv"
@@ -87,8 +84,10 @@ class SweepConfig:
         for name, (lo, hi), least in (("ell", self.ell_range, 2), ("n", self.n_range, 1)):
             check_int(f"{name} range start", lo, least)
             check_int(f"{name} range end", hi, lo)
+        if not self.checks:
+            raise ParameterError(f"checks must name at least one check; valid: {CHECKS}")
         bad = set(self.checks) - set(CHECKS)
-        if bad or not self.checks:
+        if bad:
             raise ParameterError(f"unknown checks: {sorted(bad)}; valid: {CHECKS}")
         if len(set(self.checks)) < len(self.checks):
             repeated = sorted({c for c in self.checks if self.checks.count(c) > 1})
@@ -161,7 +160,11 @@ class SweepSummary:
 class SweepReport:
     config: SweepConfig
     cells: list[SweepCell]
-    summary: SweepSummary
+
+    @cached_property
+    def summary(self) -> SweepSummary:
+        """Derived from the cells, once, so the two cannot disagree."""
+        return SweepSummary.of(self.cells)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +456,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             points = list(pool.map(_run_point, tasks, chunksize=chunk))
     cells = [cell for point in points for cell in point]
     cells.sort(key=lambda c: (c.check, c.ell, c.n))
-    return SweepReport(config, cells, SweepSummary.of(cells))
+    return SweepReport(config, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -498,15 +501,3 @@ def _json_object(cls, indent: str):
     return lambda record: template.format(
         *[_json_str(v) if isinstance(v, str) else int.__repr__(v) for v in values(record)]
     )
-
-
-def report_to_csv_bytes(report: SweepReport) -> bytes:
-    buf = io.StringIO()
-    write_report_csv(report, buf)
-    return buf.getvalue().encode("utf-8")
-
-
-def report_to_json_bytes(report: SweepReport) -> bytes:
-    buf = io.StringIO()
-    write_report_json(report, buf)
-    return buf.getvalue().encode("utf-8")

@@ -33,13 +33,9 @@ from uniconc.exactdist import (
     power,
 )
 from uniconc.spectral import fourier_pmf, split_integrals
-from uniconc.sweep import (
-    CHECKS,
-    SweepConfig,
-    report_to_csv_bytes,
-    report_to_json_bytes,
-    run_sweep,
-)
+from uniconc.sweep import CHECKS, SweepConfig, run_sweep, write_report_csv, write_report_json
+
+from test_report_output import written
 
 PRECISION_BITS = 256
 
@@ -297,8 +293,8 @@ def test_criterion_12_determinism():
     )
     serial = run_sweep(SweepConfig(**base, parallelism=1))
     pooled = run_sweep(SweepConfig(**base, parallelism=8))
-    csv_equal = report_to_csv_bytes(serial) == report_to_csv_bytes(pooled)
-    json_equal = report_to_json_bytes(serial) == report_to_json_bytes(pooled)
+    csv_equal = written(write_report_csv, serial) == written(write_report_csv, pooled)
+    json_equal = written(write_report_json, serial) == written(write_report_json, pooled)
     ok = csv_equal and json_equal
     _report(
         "12",

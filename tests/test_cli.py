@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import csv
+import dataclasses
 import importlib
 import io
 import json
@@ -9,6 +10,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from decimal import ROUND_HALF_UP, Context, Decimal
@@ -36,10 +38,12 @@ from uniconc.sweep import (
     SweepReport,
     SweepSummary,
     decimal_string,
-    report_to_csv_bytes,
-    report_to_json_bytes,
     run_sweep,
+    write_report_csv,
+    write_report_json,
 )
+
+from test_report_output import written
 
 
 def csv_rows(data: bytes) -> list[dict]:
@@ -178,9 +182,17 @@ class TestPmfCommand:
         lines = capsys.readouterr().out.splitlines()
         assert lines == ["0 1/16", "1 4/16", "2 6/16", "3 4/16", "4 1/16"]
 
-    def test_outside_support(self, capsys):
-        assert main(["pmf", "--ell", "2", "--n", "1", "--k", "9"]) == 0
-        assert capsys.readouterr().out == "0\n"
+    def test_outside_support(self, capsys, monkeypatch):
+        # the value is 0 by the support alone; no pmf is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("pmf built")
+
+        monkeypatch.setattr(cli, "power", refuse)
+        monkeypatch.setattr(cli, "de_moivre_pmf", refuse)
+        for method in ("exact", "demoivre"):
+            for k in ("9", "-1", "10000000"):
+                assert main(["pmf", "--ell", "2", "--n", "1", "--k", k, "--method", method]) == 0
+                assert capsys.readouterr().out == "0\n"
 
     def test_demoivre_whole_support_matches_exact(self, capsys):
         assert main(["pmf", "--ell", "3", "--n", "3", "--method", "demoivre"]) == 0
@@ -210,6 +222,17 @@ class TestPmfCommand:
         argv = ["pmf", "--ell", "3", "--n", "4", "--k", "4", "--method", "fourier", "--tol", tol]
         assert main(argv) == 2
         assert "tol must be finite and positive" in capsys.readouterr().err
+
+    def test_fourier_node_cap_exits_usage(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(spectral, "_kernel_powers", refuse)
+        argv = ["pmf", "--ell", "3", "--n", "4", "--k", "10000000", "--method", "fourier"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: k=10000000 at ell=3, n=4 needs")
 
     def test_fourier_non_convergence_exits_one(self, capsys, monkeypatch):
         def no_convergence(*args, **kwargs):
@@ -343,7 +366,7 @@ class TestVerifyCommand:
     def test_csv_round_trip(self, tmp_path):
         cfg = SweepConfig((2, 5), (1, 6), ("main", "bretagnolle"), 128, "csv", 1)
         report = run_sweep(cfg)
-        rows = csv_rows(report_to_csv_bytes(report))
+        rows = csv_rows(written(write_report_csv, report).encode("utf-8"))
         assert len(rows) == len(report.cells)
         for row, cell in zip(rows, report.cells):
             for col in CSV_COLUMNS:
@@ -382,8 +405,8 @@ class TestVerifyCommand:
         with redirect_stderr(io.StringIO()):
             assert main([*argv, "--out", str(out)]) == 0
         report = run_sweep(SweepConfig((2, 4), (1, 6), ("main", "corollary", "wallis"), 256, fmt))
-        to_bytes = report_to_json_bytes if fmt == "json" else report_to_csv_bytes
-        assert piped.read_bytes() == out.read_bytes() == to_bytes(report)
+        write = write_report_json if fmt == "json" else write_report_csv
+        assert piped.read_bytes() == out.read_bytes() == written(write, report).encode("utf-8")
 
     def test_config_file_flags_win(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
@@ -402,15 +425,81 @@ class TestVerifyCommand:
         assert main(["verify", "--config", str(cfg)]) == 0
         assert json.loads(capsys.readouterr().out)["config"]["precision_bits"] == 128
 
-    @pytest.mark.parametrize("line", ["parallelism=abc", "precision_bits=2.5e2"])
-    def test_config_file_non_integer_exits_usage(self, tmp_path, capsys, line):
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(f"ell_range=2:2\nn_range=1:1\n{line}\n")
-        assert main(["verify", "--config", str(cfg)]) == 2
+    NO_CHECK = f"checks must name at least one check; valid: {CHECKS}"
+    BAD_SETTINGS = {
+        "parallelism=abc": "parallelism must be an integer, got 'abc'",
+        "precision_bits=2.5e2": "precision_bits must be an integer, got '2.5e2'",
+        "format=xml": "format must be csv or json, got xml",
+        "checks=": NO_CHECK,
+        "checks=,": NO_CHECK,
+    }
+
+    @pytest.mark.parametrize("line", list(BAD_SETTINGS))
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_bad_setting_exits_usage(self, tmp_path, capsys, via, line):
+        # a value is parsed once, by one parser, from a flag or a config file
+        # alike, and the error carries no usage text
+        key, value = line.split("=")
+        if via == "flag":
+            argv = ["verify", "--ell-range", "2:2", "--n-range", "1:1",
+                    f"--{key.replace('_', '-')}", value]
+        else:
+            cfg = tmp_path / "sweep.cfg"
+            cfg.write_text(f"ell_range=2:2\nn_range=1:1\n{line}\n")
+            argv = ["verify", "--config", str(cfg)]
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        key, value = line.split("=")
-        assert captured.err == f"error: {key} must be an integer, got {value!r}\n"
+        assert captured.err == f"error: {self.BAD_SETTINGS[line]}\n"
+
+    def test_no_settings_sweeps_the_config_defaults(self, capsys):
+        assert main(["verify"]) == 0
+        assert capsys.readouterr().out == written(write_report_csv, run_sweep(SweepConfig()))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_flags_win_and_unset_settings_take_the_config_defaults(self, data):
+        # each of the six settings comes from a flag, the file, both or neither
+        values = {
+            "ell_range": st.tuples(st.integers(2, 3), st.integers(3, 4)),
+            "n_range": st.tuples(st.integers(1, 2), st.integers(2, 3)),
+            "checks": st.lists(st.sampled_from(CHECKS), min_size=1, max_size=3, unique=True),
+            "precision_bits": st.integers(64, 512),
+            "format": st.sampled_from(["csv", "json"]),
+            "parallelism": st.integers(1, 4),
+        }
+        text = {
+            "ell_range": "{0[0]}:{0[1]}".format, "n_range": "{0[0]}:{0[1]}".format,
+            "checks": ",".join, "precision_bits": str, "format": str, "parallelism": str,
+        }
+        flags, lines, expected = [], [], {}
+        for key, values_of in values.items():
+            flag = data.draw(st.none() | values_of, label=f"flag {key}")
+            in_file = data.draw(st.none() | values_of, label=f"file {key}")
+            if in_file is not None:
+                lines.append(f"{key}={text[key](in_file)}")
+            if flag is not None:
+                flags += [f"--{key.replace('_', '-')}", text[key](flag)]
+            value = flag if flag is not None else in_file
+            if value is not None:
+                expected[key] = tuple(value) if key == "checks" else value
+        configs = []
+
+        def no_sweep(config):
+            configs.append(config)
+            return SweepReport(config, [])
+
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "run_sweep", no_sweep)
+            cfg = Path(tmp) / "sweep.cfg"
+            cfg.write_text("".join(f"{line}\n" for line in lines))
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                assert main(["verify", "--config", str(cfg), *flags]) == 0
+        (config,) = configs
+        defaults = SweepConfig()
+        for key in values:
+            field = "output_format" if key == "format" else key
+            assert getattr(config, field) == expected.get(key, getattr(defaults, field)), key
 
     def test_config_file_unknown_key_exits_usage(self, tmp_path, capsys):
         # a typo of n_range must not sweep the default grid
@@ -470,21 +559,20 @@ class TestVerifyCommand:
         assert main(["verify", "--ell-range", "nonsense"]) == 2
         assert main(["no-such-command"]) == 2
 
-    def test_inconclusive_forces_failure_exit(self, monkeypatch):
+    def test_inconclusive_forces_failure_exit(self, monkeypatch, capsys):
         real = run_sweep
 
         def with_inconclusive(config):
-            report = real(config)
-            summary = SweepSummary(
-                report.summary.cells, report.summary.holds, report.summary.fails,
-                inconclusive=1, mismatches=0,
-            )
-            return SweepReport(report.config, report.cells, summary)
+            (cell,) = real(config).cells
+            return SweepReport(config, [dataclasses.replace(cell, verdict="Inconclusive")])
 
         monkeypatch.setattr(cli, "run_sweep", with_inconclusive)
         code = main(["verify", "--ell-range", "2:2", "--n-range", "1:1", "--checks", "main",
                      "--out", "-"])
         assert code == 1
+        assert capsys.readouterr().err == (
+            "cells=1 holds=0 fails=0 inconclusive=1 mismatches=0\n"
+        )
 
 
 # a margin of one link of the Bessel chain: it holds, fails or straddles 0,
@@ -523,8 +611,8 @@ class TestSweepEngine:
         checks = ("main", "corollary", "wallis", "dsequence", "argmax")
         r1 = run_sweep(SweepConfig((2, 5), (1, 6), checks, 128, "csv", 1))
         r2 = run_sweep(SweepConfig((2, 5), (1, 6), checks, 128, "csv", 4))
-        assert report_to_csv_bytes(r1) == report_to_csv_bytes(r2)
-        assert report_to_json_bytes(r1) == report_to_json_bytes(r2)
+        for write in (write_report_csv, write_report_json):
+            assert written(write, r1) == written(write, r2)
 
     @staticmethod
     def exact_fraction(ell: int, n: int) -> str:
@@ -585,6 +673,8 @@ class TestSweepEngine:
             SweepConfig((2, 4), (3, 2))
         with pytest.raises(ParameterError):
             SweepConfig((2, 4), (1, 2), ("nonsense",))
+        with pytest.raises(ParameterError, match="at least one check"):
+            SweepConfig((2, 4), (1, 2), ())
         with pytest.raises(ParameterError):
             SweepConfig((2, 4), (1, 2), ("main",), 256, "xml")
 
@@ -856,8 +946,8 @@ class TestReportCommand:
         base = tmp_path / "B"
         assert main(["report", "--ell-range", "2:4", "--n-range", "1:2", "--out", str(base)]) == 0
         report = run_sweep(SweepConfig((2, 4), (1, 2), CHECKS))
-        assert (tmp_path / "B.csv").read_bytes() == report_to_csv_bytes(report)
-        assert (tmp_path / "B.json").read_bytes() == report_to_json_bytes(report)
+        for suffix, write in (("csv", write_report_csv), ("json", write_report_json)):
+            assert (tmp_path / f"B.{suffix}").read_bytes() == written(write, report).encode("utf-8")
 
     def test_dotted_basename_keeps_every_dot(self, tmp_path, capsys):
         # the suffixes are appended: grid.v2 and grid.v3 write apart
@@ -922,10 +1012,12 @@ class TestGoldenReport:
         return run_sweep(SweepConfig((2, 8), (1, 20), CHECKS, 256))
 
     def test_csv_bytes(self, report):
-        assert report_to_csv_bytes(report) == (self.GOLDEN / "criterion12.csv").read_bytes()
+        golden = (self.GOLDEN / "criterion12.csv").read_bytes()
+        assert written(write_report_csv, report).encode("utf-8") == golden
 
     def test_json_bytes(self, report):
-        assert report_to_json_bytes(report) == (self.GOLDEN / "criterion12.json").read_bytes()
+        golden = (self.GOLDEN / "criterion12.json").read_bytes()
+        assert written(write_report_json, report).encode("utf-8") == golden
 
     def test_certified_columns_enclose_mpmath_reference(self, report):
         assert enclosed_reference_cells(report) == 460

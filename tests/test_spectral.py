@@ -318,3 +318,29 @@ class TestToleranceCheck:
             wallis_integral(math.nan)
         with pytest.raises(ParameterError):
             chebyshev_lemma_check(lambda x: x, lambda x: x, math.nan)
+
+
+class TestNodeCap:
+    """A sum takes max(|k|, |top - k|) + 2 nodes at most; past _MAX_NODES it
+    is refused before any sampling starts, naming k and the cap."""
+
+    CAP = spectral._MAX_NODES
+
+    @pytest.fixture(autouse=True)
+    def no_sampling(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(spectral, "_kernel_powers", refuse)
+
+    @pytest.mark.parametrize("k", [10**7, CAP - 1, 9 - CAP])
+    def test_refused_past_the_cap(self, k):
+        with pytest.raises(ParameterError, match=rf"^k={k} at ell=3, n=4 .*cap {self.CAP}$"):
+            fourier_pmf(3, 4, k)
+
+    @pytest.mark.parametrize("k", [10**5, CAP - 2, 10 - CAP])
+    def test_sampled_up_to_the_cap(self, k):
+        # at (3, 4), top = 8: k = CAP - 2 and 10 - CAP take CAP - 1 and CAP
+        # nodes, the most a sum may take
+        with pytest.raises(AssertionError, match="sampling started"):
+            fourier_pmf(3, 4, k)
