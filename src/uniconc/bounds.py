@@ -28,9 +28,12 @@ __all__ = [
 ]
 
 
+_ONE, _ZERO = Fraction(1), Fraction(0)
+
+
 def _pi_root(r: Fraction) -> RootBound:
     """sqrt(r / pi)."""
-    return RootBound(Fraction(1), Fraction(0), r, 1)
+    return RootBound(_ONE, _ZERO, r, 1)
 
 
 def main_bound_expr(ell: int, n: int) -> RootBound:
@@ -61,9 +64,9 @@ def d_sequence_expr(n: int) -> RootBound:
     sequence stays below one except at n = 2.
     """
     check_int("n", n, 1)
-    rational = 1 - Fraction(3, 20 * n) + Fraction(21, 160 * n * n)
-    correction = Fraction(1, (n - 1) * 2 ** (n - 1)) if n % 2 == 0 else Fraction(0)
-    return RootBound(rational, correction, Fraction(1), 0)
+    rational = Fraction(160 * n * n - 24 * n + 21, 160 * n * n)
+    correction = Fraction(1, (n - 1) * 2 ** (n - 1)) if n % 2 == 0 else _ZERO
+    return RootBound(rational, correction, _ONE, 0)
 
 
 def bessel_chain_expr(n: int) -> RootBound:

@@ -242,7 +242,8 @@ class RootBound:
                 raise ExpressionError(f"{name} must be a Fraction, got {value!r}")
         if type(self.k) is not int or self.k not in (0, 1):
             raise ExpressionError(f"k must be 0 or 1, got {self.k!r}")
-        if self.a <= 0 or self.b < 0 or self.r <= 0:
+        # a Fraction's denominator is positive, so its numerator carries its sign
+        if self.a.numerator <= 0 or self.b.numerator < 0 or self.r.numerator <= 0:
             raise DomainError(f"need a > 0, b >= 0 and r > 0, got {self}")
 
 

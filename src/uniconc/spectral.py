@@ -22,7 +22,9 @@ from .errors import ConvergenceError, ParameterError, check_int
 __all__ = ["QuadratureResult", "fourier_pmf", "split_integrals"]
 
 # a sum keeps a float per node, and the nodes grow with |k|: far outside the
-# support, where the value is 0, a sum would take seconds, so it is refused
+# support, where the value is 0, a sum would take seconds, so it is refused.
+# split_integrals takes a sum for each of its degree + 1 coefficients, so it
+# is held to the same cap on coefficients times nodes
 _MAX_NODES = 2**20
 
 
@@ -114,7 +116,9 @@ def split_integrals(
     [pi/ell, pi/2]; their sum reproduces the maximal probability.  For
     ell = 2 the outer interval is empty and the second result is zero.
     The cosine frequency left after centering on the peak is the parity
-    alpha = n*(ell-1) mod 2 of the support width.
+    alpha = n*(ell-1) mod 2 of the support width.  A split whose cosine
+    sums would take more than ``_MAX_NODES`` nodes in all is refused before
+    sampling.
     """
     check_int("ell", ell, 2)
     check_int("n", n, 1)
@@ -123,6 +127,11 @@ def split_integrals(
     degree = (n * (ell - 1) + alpha) // 2
     # g(t) * cos(2ft) has degree up to 2*degree in 2t
     nodes = 2 * degree + 1
+    if (degree + 1) * (nodes + 1) > _MAX_NODES:
+        raise ParameterError(
+            f"ell={ell}, n={n} needs {degree + 1} cosine sums of {nodes + 1} nodes; "
+            f"cap {_MAX_NODES} in all"
+        )
     coarse, fine = (_split(ell, n, alpha, degree, N) for N in (nodes, nodes + 1))
     inner = _cross_checked((coarse[0], fine[0]), nodes, tol / 2)
     if ell == 2:

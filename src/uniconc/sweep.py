@@ -2,9 +2,9 @@
 
 The work unit is one (ell, n) grid point, which computes the cells of every
 requested check from one shared concentration and pmf.  Points are
-independent and may be computed by a worker pool, but records are always
-sorted by (check, ell, n) before serialization, so the report bytes do not
-depend on the execution order or the level of parallelism.
+independent and may be computed by a worker pool, which returns them in task
+order, and records are always collected in (check, ell, n) order, so the
+report bytes do not depend on the level of parallelism.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_str
@@ -109,7 +109,7 @@ class SweepConfig:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepCell:
     ell: int
     n: int
@@ -227,7 +227,10 @@ def _dyadic_string(d: Dyadic) -> str:
 
 
 def _interval_strings(iv: Interval) -> tuple[str, str]:
-    return _dyadic_string(iv.lo), _dyadic_string(iv.hi)
+    """Both ends rendered; ends that render alike share one string, so a
+    report holds it once."""
+    lo, hi = _dyadic_string(iv.lo), _dyadic_string(iv.hi)
+    return (lo, lo) if lo == hi else (lo, hi)
 
 
 @contextmanager
@@ -254,8 +257,9 @@ def _exact_strings(fr: Fraction) -> tuple[str, str]:
 
 class _Point:
     """One (ell, n) grid point.  Its concentration, the concentration's
-    report strings, its full pmf and the sharp bound are each computed at
-    most once, on first use, and shared by every check of the point."""
+    report strings, its full pmf, the report strings of the pmf's central
+    value and the sharp bound are each computed at most once, on first use,
+    and shared by every check of the point."""
 
     def __init__(self, ell: int, n: int):
         self.ell, self.n = ell, n
@@ -272,6 +276,11 @@ class _Point:
     @cached_property
     def pmf(self) -> ExactDensity:
         return power(self.params)
+
+    @cached_property
+    def central_strings(self) -> tuple[str, str]:
+        d = self.pmf
+        return _exact_strings(Fraction(d.numerators[self.params.top // 2], d.denominator))
 
     @cached_property
     def main_bound(self) -> RootBound:
@@ -341,8 +350,8 @@ def _cell_dsequence(p: _Point, prec: int) -> SweepCell:
     # the concentration rescaled by sqrt(pi*(ell**2-1)*n/6) stays below d_n;
     # stated equivalently as c < d_n * main_bound so the left side is rational;
     # d_n has r = 1 and k = 0, so the product takes main's radicand
-    main = p.main_bound
-    expr = replace(bounds.d_sequence_expr(p.n), r=main.r, k=main.k)
+    main, d = p.main_bound, bounds.d_sequence_expr(p.n)
+    expr = RootBound(d.a, d.b, main.r, main.k)
     return _certified_cell(p, "dsequence", expr, prec, "holds")
 
 
@@ -355,11 +364,6 @@ def _cell_bretagnolle(p: _Point, prec: int) -> SweepCell:
     return _cell(p, "bretagnolle", p.conc_strings, verdict, (rhs_str,) * 2, (margin_str,) * 2)
 
 
-def _central_value(p: _Point) -> Fraction:
-    d = p.pmf
-    return Fraction(d.numerators[p.params.top // 2], d.denominator)
-
-
 def _cell_argmax(p: _Point, prec: int) -> SweepCell:
     top = p.params.top
     central = {top // 2, (top + 1) // 2}
@@ -367,7 +371,7 @@ def _cell_argmax(p: _Point, prec: int) -> SweepCell:
     # for n = 1 the pmf is flat and every point is maximal; the central
     # points must still be among them
     ok = central <= peak if p.n == 1 else peak == central
-    return _cell(p, "argmax", _exact_strings(_central_value(p)), "Holds" if ok else "Fails")
+    return _cell(p, "argmax", p.central_strings, "Holds" if ok else "Fails")
 
 
 def _cell_moments(p: _Point, prec: int) -> SweepCell:
@@ -394,7 +398,7 @@ def _cell_oracle_equiv(p: _Point, prec: int) -> SweepCell:
         base = int.from_bytes((b"\x01" + bytes(width - 1)) * p.ell, "little")
         ok = int.from_bytes(packed, "little") == pow(base, p.n)
     ok = ok and de_moivre_pmf(params, -1) == 0 and de_moivre_pmf(params, params.top + 1) == 0
-    return _cell(p, "oracle_equiv", _exact_strings(_central_value(p)), "Holds" if ok else "Fails")
+    return _cell(p, "oracle_equiv", p.central_strings, "Holds" if ok else "Fails")
 
 
 # every check: its cell function and the one ell it is defined on, or None.
@@ -444,8 +448,18 @@ def _pool_size(requested: int, cpus: int | None, units: int) -> int:
 def run_sweep(config: SweepConfig) -> SweepReport:
     tasks = _tasks(config)
     workers = _pool_size(config.parallelism, os.cpu_count(), len(tasks))
+    # tasks run in (ell, n) order and both maps return points in task order,
+    # so each check's list fills in (ell, n) order, and joining the lists in
+    # check order gives the report's (check, ell, n) order without a sort
+    by_check = {check: [] for check in sorted(config.checks)}
+
+    def collect(points) -> None:
+        for point in points:
+            for cell in point:
+                by_check[cell.check].append(cell)
+
     if workers == 1:
-        points = [_run_point(t) for t in tasks]
+        collect(map(_run_point, tasks))
     else:
         # imported here: the pool pulls in multiprocessing, which a serial
         # run never needs
@@ -453,10 +467,8 @@ def run_sweep(config: SweepConfig) -> SweepReport:
 
         chunk = max(1, len(tasks) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(_run_point, tasks, chunksize=chunk))
-    cells = [cell for point in points for cell in point]
-    cells.sort(key=lambda c: (c.check, c.ell, c.n))
-    return SweepReport(config, cells)
+            collect(pool.map(_run_point, tasks, chunksize=chunk))
+    return SweepReport(config, [cell for cells in by_check.values() for cell in cells])
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +476,22 @@ def run_sweep(config: SweepConfig) -> SweepReport:
 # ---------------------------------------------------------------------------
 
 def write_report_csv(report: SweepReport, out: TextIO) -> None:
-    """Write the report as CSV to a text stream, one row at a time."""
+    """Write the report as CSV to a text stream, one row at a time, as
+    ``csv.writer`` writes it."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    writer.writerows(map(attrgetter(*CSV_COLUMNS), report.cells))
+    text_columns = CSV_COLUMNS[2:]
+    text_fields, separators = attrgetter(*text_columns), len(text_columns) - 1
+    for c in report.cells:
+        rest = text_fields(c)
+        text = ",".join(rest)
+        # csv quotes a field only for a comma, a quote or a line break in it
+        # (for a lone CR, on some Python versions only); a row with none of
+        # them is its fields joined, which skips csv's per-field scan
+        if text.count(",") != separators or '"' in text or "\r" in text or "\n" in text:
+            writer.writerow((c.ell, c.n, *rest))
+        else:
+            out.write(f"{c.ell},{c.n},{text}\n")
 
 
 def write_report_json(report: SweepReport, out: TextIO) -> None:
@@ -490,9 +514,10 @@ def write_report_json(report: SweepReport, out: TextIO) -> None:
 
 def _json_object(cls, indent: str):
     """The function that renders an instance of the dataclass ``cls``, whose
-    fields are all str or int, as ``json.dumps(vars(instance), indent=2)``
-    reads nested ``indent`` deep.  Fields are read by name, because ``vars``
-    would leave a dict on every instance."""
+    fields are all str or int, as ``json.dumps(dataclasses.asdict(instance),
+    indent=2)`` reads nested ``indent`` deep.  Fields are read by name, so no
+    dict is built per instance, and a slotted class, which has no
+    ``__dict__``, renders alike."""
     names = [f.name for f in fields(cls)]
     lines = ",".join(f"\n{indent}  {_json_str(name)}: {{}}" for name in names)
     template = f"{{{{{lines}\n{indent}}}}}"

@@ -163,6 +163,14 @@ class TestDSequence:
         assert_encloses(b, 0.9947593862162344, width=1e-12)
         assert verdict_between(b, Fraction(1), 128).outcome is Outcome.HOLDS
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 500))
+    def test_terms_are_the_stated_formula(self, n):
+        expr = d_sequence_expr(n)
+        correction = Fraction(1, (n - 1) * 2 ** (n - 1)) if n % 2 == 0 else 0
+        assert expr.a == 1 - Fraction(3, 20 * n) + Fraction(21, 160 * n * n)
+        assert (expr.b, expr.r, expr.k) == (correction, 1, 0)
+
     def test_odd_terms_have_no_root_three_part(self):
         expr = d_sequence_expr(7)
         iv = evaluate(expr, 64)

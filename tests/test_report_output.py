@@ -1,17 +1,23 @@
 """The report writers: byte-identity with the whole-document encoders they
-replace, memory that does not grow with the report, and digests of the
-benchmark grids' outputs."""
+replace, memory that does not grow with the report, how the cells hold
+their values, and digests of the benchmark grids' outputs."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
+import pickle
 import tracemalloc
+from fractions import Fraction
+from math import floor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import uniconc.sweep as sweep
+from uniconc.certify import Dyadic, Interval
 from uniconc.cli import main
 from uniconc.sweep import (
     CHECKS,
@@ -39,8 +45,8 @@ def whole_json(report: SweepReport) -> str:
     """The JSON report as one ``json.dumps`` of the whole document."""
     obj = {
         "config": report.config.serializable(),
-        "cells": [vars(c) for c in report.cells],
-        "summary": vars(report.summary),
+        "cells": [dataclasses.asdict(c) for c in report.cells],
+        "summary": dataclasses.asdict(report.summary),
     }
     return json.dumps(obj, indent=2) + "\n"
 
@@ -70,9 +76,19 @@ cells = st.builds(
 )
 
 
+def cell_with(exact="0.5", bound="0.6", margin="0.1", expected="holds") -> SweepCell:
+    return SweepCell(2, 1, "main", exact, "1/2", bound, bound, "Holds", margin, margin, expected)
+
+
 class TestWriterBytes:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(cells, max_size=6))
+    # one row per character that makes csv quote a field, each in its own
+    # column, so every run writes rows through the csv.writer fallback
+    @example([cell_with(exact="0,5")])
+    @example([cell_with(), cell_with(bound='0"6')])
+    @example([cell_with(margin="0.1\r")])
+    @example([cell_with(expected="\nholds"), cell_with()])
     def test_drawn_cells_match_the_whole_document_encoders(self, drawn):
         report = report_of(drawn)
         csv_text, json_text = whole_csv(report), whole_json(report)
@@ -125,6 +141,68 @@ class TestWriterMemory:
         small = report_of(report_grid.cells[:540], report_grid.config)
         peaks = [traced_peak(write, r) for r in (small, report_grid)]
         assert abs(peaks[1] - peaks[0]) < 64 * 1024, peaks
+
+
+def units_apart(target: Fraction, bits: int, offset: int, negative: bool) -> Interval:
+    """Two dyadics one unit apart, the unit ``bits`` bits or so below the
+    leading bit of ``target > 0``, ``offset`` units from ``target``."""
+    shift = bits - (target.numerator.bit_length() - target.denominator.bit_length())
+    man = floor(target * Fraction(2) ** shift) + offset
+    lo, hi = Dyadic(man, -shift), Dyadic(man + 1, -shift)
+    if negative:
+        lo, hi = Dyadic(-hi.man, hi.exp), Dyadic(-lo.man, lo.exp)
+    return Interval(lo, hi)
+
+
+# halfway between two 30-digit decimals, and powers of ten, where the
+# rendering's last digit or its exponent turns over between adjacent ends
+rounding_ties = st.builds(
+    lambda digits, e: Fraction(2 * digits + 1, 2) * Fraction(10) ** (e - 29),
+    st.integers(10**29, 10**30 - 1),
+    st.integers(-6, 20),
+)
+powers_of_ten = st.builds(lambda e: Fraction(10) ** e, st.integers(-8, 20))
+adjacent_ends = st.builds(
+    units_apart, rounding_ties | powers_of_ten, st.integers(85, 115), st.integers(-2, 1), st.booleans()
+)
+dyadics = st.builds(Dyadic, st.just(0) | st.integers(-(2**120), 2**120), st.integers(-200, 50))
+any_ends = st.lists(dyadics, min_size=2, max_size=2).map(lambda ends: Interval(*sorted(ends)))
+
+
+class TestCellStorage:
+    @settings(max_examples=300, deadline=None)
+    @given(adjacent_ends | any_ends)
+    @example(Interval(Dyadic(0, 0), Dyadic(0, 0)))
+    @example(Interval(Dyadic(0, 0), Dyadic(1, -100)))
+    @example(Interval(Dyadic(-3, -2), Dyadic(5, -1)))
+    @example(Interval(Dyadic(-5, -1), Dyadic(-3, -2)))
+    def test_ends_that_render_alike_share_one_string(self, iv):
+        lo, hi = sweep._interval_strings(iv)
+        assert (lo, hi) == (sweep._dyadic_string(iv.lo), sweep._dyadic_string(iv.hi))
+        assert (lo is hi) == (lo == hi)
+
+    def test_checks_of_one_point_share_the_central_strings(self):
+        argmax, oracle = run_sweep(SweepConfig((5, 5), (7, 7), ("argmax", "oracle_equiv"))).cells
+        assert argmax.exact is oracle.exact
+        assert argmax.exact_fraction is oracle.exact_fraction
+
+    def test_cells_are_slotted_and_pickle(self):
+        cell = run_sweep(SweepConfig((2, 3), (1, 2), ("main",))).cells[0]
+        assert not hasattr(cell, "__dict__")
+        assert pickle.loads(pickle.dumps(cell)) == cell
+
+    def test_retained_bytes_per_cell(self):
+        # 2,900 cells; 352 bytes a cell with slotted cells and shared
+        # strings, 580 with a dict per cell and every end rendered apart
+        config = SweepConfig((2, 20), (1, 50), ("main", "corollary", "dsequence", "wallis"))
+        run_sweep(config)  # warm: the pi enclosure and first-use set-up
+        tracemalloc.start()
+        try:
+            report = run_sweep(config)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained / len(report.cells) < 460, retained
 
 
 class TestBenchmarkGridDigests:

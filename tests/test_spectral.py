@@ -344,3 +344,15 @@ class TestNodeCap:
         # nodes, the most a sum may take
         with pytest.raises(AssertionError, match="sampling started"):
             fourier_pmf(3, 4, k)
+
+    # split_integrals takes degree + 1 sums of up to nodes + 1 = 2*degree + 3
+    # nodes, degree = ceil(top / 2): degree 723 is the last under the cap
+    @pytest.mark.parametrize("ell, n", [(2, 1447), (3, 724)])
+    def test_split_refused_past_the_cap(self, ell, n):
+        with pytest.raises(ParameterError, match=rf"^ell={ell}, n={n} .*cap {self.CAP} in all$"):
+            split_integrals(ell, n)
+
+    @pytest.mark.parametrize("ell, n", [(2, 1446), (3, 723)])
+    def test_split_sampled_up_to_the_cap(self, ell, n):
+        with pytest.raises(AssertionError, match="sampling started"):
+            split_integrals(ell, n)
