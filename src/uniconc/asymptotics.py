@@ -16,8 +16,10 @@ from .exactdist import LatticeParams, power
 
 __all__ = ["clt_ratio", "local_clt_sup_dev"]
 
-# 40 digits (over 128 bits), set in full: the caller's context changes nothing
-_CONTEXT = Context(prec=40, rounding=ROUND_HALF_EVEN)
+# 40 digits (over 128 bits); precision, rounding, exponent bounds and traps
+# are all named, so neither the caller's context nor decimal.DefaultContext,
+# which fills the fields a Context leaves unnamed, changes a result or raises
+_CONTEXT = Context(prec=40, rounding=ROUND_HALF_EVEN, Emax=999999, Emin=-999999, traps=[])
 # pi's enclosure is within 2**-160 of pi, whose digits past the 40th
 # (1693...) are far from a rounding boundary, so it rounds as pi does
 _PI = _CONTEXT.divide(*pi_enclosure(160).lo.as_ratio())

@@ -15,6 +15,7 @@ error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 from itertools import groupby
@@ -265,6 +266,9 @@ def _cmd_asymptotics(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    # the suffixes are appended to the text as given: rr/ would write rr/.csv
+    if os.path.basename(args.out) in ("", ".", ".."):
+        raise ParameterError(f"--out must end in a file name, got {args.out!r}")
     report = run_sweep(_sweep_config(_flags(args), checks=CHECKS))
     csv_path, json_path = Path(f"{args.out}.csv"), Path(f"{args.out}.json")
     csv_path.parent.mkdir(parents=True, exist_ok=True)

@@ -16,6 +16,7 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_str
@@ -25,7 +26,6 @@ from typing import TextIO
 
 from . import bounds
 from .certify import (
-    Dyadic,
     Interval,
     RootBound,
     Verdict,
@@ -168,68 +168,36 @@ class SweepReport:
 
 
 # ---------------------------------------------------------------------------
-# decimal rendering (pure integer arithmetic, deterministic)
+# decimal rendering (one correctly rounded division, deterministic)
 # ---------------------------------------------------------------------------
 
-def decimal_string(fr: Fraction, sig: int = 30) -> str:
-    """Decimal rendering of a rational with ``sig`` significant digits.
-
-    Uses only integer arithmetic: identical inputs give identical strings on
-    every platform.  Trailing zeros of the mantissa are stripped.
-    """
-    check_int("sig", sig, 1)
-    return _decimal_digits(fr.numerator, fr.denominator, sig)
+# 30 digits, half away from zero; the exponent bounds, clamp and traps are
+# named too, so neither the caller's context nor decimal.DefaultContext, which
+# fills the fields a Context leaves unnamed, changes a rendered byte or raises
+_CONTEXT = Context(prec=30, rounding=ROUND_HALF_UP, Emax=MAX_EMAX, Emin=MIN_EMIN, clamp=0, traps=[])
 
 
-def _decimal_digits(num: int, den: int, sig: int = 30) -> str:
+def decimal_string(fr: Fraction) -> str:
+    """Decimal rendering of a rational, correctly rounded half away from zero
+    to 30 significant digits, with the mantissa's trailing zeros stripped:
+    positional for decimal exponents -4..15, scientific otherwise.  Correct
+    rounding fixes every digit, so the text is the same on every platform."""
+    return _quotient_string(fr.numerator, fr.denominator)
+
+
+def _quotient_string(num: int, den: int) -> str:
     """``decimal_string`` of ``num/den`` for integers with ``den > 0``."""
-    if num == 0:
-        return "0"
-    sign = "-" if num < 0 else ""
-    num = abs(num)
-    # decimal exponent e with 10**e <= num/den < 10**(e+1); the bit lengths
-    # put log2(num/den) within 1 of their difference, and 1233/4096 is just
-    # below log10(2), so the seed lands within 2 of e and the loops settle it
-    e = (num.bit_length() - den.bit_length()) * 1233 >> 12
-    while _ge_pow10(num, den, e + 1):
-        e += 1
-    while not _ge_pow10(num, den, e):
-        e -= 1
-    shift = sig - 1 - e
-    if shift >= 0:
-        scaled_num, scaled_den = num * 10**shift, den
-    else:
-        scaled_num, scaled_den = num, den * 10 ** (-shift)
-    digits = (2 * scaled_num + scaled_den) // (2 * scaled_den)  # round half up
-    ds = str(digits)
-    if len(ds) > sig:  # carry crossed a power of ten
-        e += 1
-        ds = ds[:sig]
-    ds = ds.rstrip("0") or "0"
+    q = _CONTEXT.divide(Decimal(num), Decimal(den)).normalize(_CONTEXT)
+    e = q.adjusted()
     if -4 <= e < 16:
-        if e >= 0:
-            ipart = ds[: e + 1].ljust(e + 1, "0")
-            fpart = ds[e + 1 :]
-            return sign + ipart + ("." + fpart if fpart else "")
-        return sign + "0." + "0" * (-e - 1) + ds
-    mantissa = ds[0] + ("." + ds[1:] if len(ds) > 1 else "")
-    return f"{sign}{mantissa}e{e:+03d}"
-
-
-def _ge_pow10(num: int, den: int, e: int) -> bool:
-    if e >= 0:
-        return num >= den * 10**e
-    return num * 10 ** (-e) >= den
-
-
-def _dyadic_string(d: Dyadic) -> str:
-    return _decimal_digits(*d.as_ratio())
+        return f"{q:f}"
+    return f"{q.scaleb(-e, _CONTEXT):f}e{e:+03d}"
 
 
 def _interval_strings(iv: Interval) -> tuple[str, str]:
     """Both ends rendered; ends that render alike share one string, so a
     report holds it once."""
-    lo, hi = _dyadic_string(iv.lo), _dyadic_string(iv.hi)
+    lo, hi = (_quotient_string(*d.as_ratio()) for d in (iv.lo, iv.hi))
     return (lo, lo) if lo == hi else (lo, hi)
 
 

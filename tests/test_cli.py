@@ -8,12 +8,13 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
-from decimal import ROUND_HALF_UP, Context, Decimal
+from decimal import ROUND_FLOOR, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -73,6 +74,40 @@ def no_int_str_limit():
         set_limit(limit)
 
 
+# the two forms a rendered decimal takes; a mantissa ends in a non-zero digit
+POSITIONAL = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]*[1-9])?")
+SCIENTIFIC = re.compile(r"-?[1-9](\.[0-9]*[1-9])?e[+-][0-9]{2,}")
+
+
+def decimal_exponent(v: Fraction) -> int:
+    """The e with 10**e <= |v| < 10**(e+1), for v != 0: a numerator of a
+    digits over a denominator of b digits lies strictly between 10**(a-b-1)
+    and 10**(a-b+1), so one comparison settles it."""
+    num, den = abs(v.numerator), v.denominator
+    e = len(str(num)) - len(str(den))
+    return e if num * 10 ** max(-e, 0) >= den * 10 ** max(e, 0) else e - 1
+
+
+def check_rendering(fr: Fraction, text: str) -> None:
+    """``text`` as ``decimal_string(fr)`` must be: at most 30 significant
+    digits, no trailing zero in its mantissa, positional for a decimal
+    exponent in -4..15 and scientific otherwise, and within half a unit in
+    the 30th digit of ``fr``."""
+    if fr == 0:
+        assert text == "0"
+        return
+    value = Fraction(text)
+    e = decimal_exponent(value)
+    if -4 <= e < 16:
+        assert POSITIONAL.fullmatch(text), text
+    else:
+        assert SCIENTIFIC.fullmatch(text) and int(text.partition("e")[2]) == e, text
+    # an integer's trailing zeros place its point, and are not significant
+    digits = text.lstrip("-").partition("e")[0].replace(".", "").lstrip("0").rstrip("0")
+    assert len(digits) <= 30, text
+    assert abs(value - fr) <= Fraction(5) * Fraction(10) ** (decimal_exponent(fr) - 30), text
+
+
 class TestDecimalString:
     @pytest.mark.parametrize(
         "fr,expected",
@@ -85,91 +120,66 @@ class TestDecimalString:
             (Fraction(2), "2"),
             (Fraction(1, 10**40), "1e-40"),
             (Fraction(10**40), "1e+40"),
+            (Fraction(1, 10**5000), "1e-5000"),
+            # a tie at the 30th digit rounds away from zero
+            (Fraction(-(2 * 10**29 + 1), 2 * 10**29), "-1." + "0" * 28 + "1"),
         ],
     )
     def test_values(self, fr, expected):
         assert decimal_string(fr) == expected
 
     def test_round_half_up_carry(self):
-        assert decimal_string(Fraction(999999999999, 10**12), sig=6) == "1"
-
-    @pytest.mark.parametrize("sig", [0, -1, True, 1.5], ids=repr)
-    def test_rejects_sig_that_is_not_a_positive_int(self, sig):
-        # sig = 0 rendered 7 as "00" and 1/3 as "0", and True passed as 1
-        for fr in (Fraction(7), Fraction(1, 3)):
-            with pytest.raises(ParameterError):
-                decimal_string(fr, sig)
+        # 31 nines round up at the 30th digit and carry into a new one
+        assert decimal_string(Fraction(10**31 - 1, 10**31)) == "1"
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(-(2**200), 2**200), st.integers(-300, 300))
     def test_dyadic_rendering_matches_fraction(self, man, exp):
         # unnormalized mantissas too: the rendering depends on the value only
         d = Dyadic(man, exp)
-        assert sweep._dyadic_string(d) == decimal_string(d.as_fraction())
+        assert sweep._interval_strings(Interval(d, d)) == (decimal_string(d.as_fraction()),) * 2
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40)),
-        st.integers(1, 40),
-    )
-    def test_round_trip_within_half_unit(self, fr, sig):
-        text = decimal_string(fr, sig)
-        if fr == 0:
-            assert text == "0"
-            return
-        e = 0  # 10**e <= |fr| < 10**(e+1)
-        while Fraction(10) ** e > abs(fr):
-            e -= 1
-        while Fraction(10) ** (e + 1) <= abs(fr):
-            e += 1
-        half_unit = Fraction(5) * Fraction(10) ** (e - sig)
-        assert abs(Fraction(Decimal(text)) - fr) <= half_unit
+    @given(st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40)))
+    def test_round_trip_within_half_unit(self, fr):
+        check_rendering(fr, decimal_string(fr))
 
-
-def reference_decimal(num: int, den: int, sig: int) -> str:
-    """``decimal_string`` of num/den by the decimal module: the quotient
-    correctly rounded half away from zero to ``sig`` digits, trailing zeros
-    stripped, positional for exponents -4..15 and scientific otherwise."""
-    if num == 0:
-        return "0"
-    ctx = Context(prec=sig, rounding=ROUND_HALF_UP, Emin=-9999, Emax=9999)
-    q = ctx.divide(Decimal(num), Decimal(den)).normalize(ctx)
-    sign, digits, _ = q.as_tuple()
-    ds, e = "".join(map(str, digits)), q.adjusted()
-    text = "-" if sign else ""
-    if -4 <= e < 16:
-        if e < 0:
-            return text + "0." + "0" * (-e - 1) + ds
-        ipart, fpart = ds[: e + 1].ljust(e + 1, "0"), ds[e + 1 :]
-        return text + ipart + ("." + fpart if fpart else "")
-    return text + ds[0] + ("." + ds[1:] if len(ds) > 1 else "") + f"e{e:+03d}"
+    def test_caller_decimal_context_changes_nothing(self):
+        values = [
+            Fraction(1, 3), Fraction(-2, 7), Fraction(10**31 - 1, 10**31), Fraction(7, 10**50),
+        ]
+        interval = Interval(Dyadic(1, -3), Dyadic(5, -2))
+        expected = [*map(decimal_string, values), sweep._interval_strings(interval)]
+        hostile = Context(prec=3, rounding=ROUND_FLOOR, traps=[Inexact])
+        with localcontext(hostile):
+            assert [*map(decimal_string, values), sweep._interval_strings(interval)] == expected
 
 
 class TestDecimalExponent:
-    """The exponent seeded from bit lengths, at and beside powers of ten."""
+    """Powers of ten and one unit either side, where the decimal exponent
+    and with it the rendered form change."""
 
     @settings(max_examples=200, deadline=None)
-    @example(-400, 0, 1, False, 30)
-    @example(-5, 0, 1, False, 30)
-    @example(-4, 0, 7, False, 30)
-    @example(15, 0, 7, False, 30)
-    @example(16, 0, 1, False, 30)
-    @example(400, 0, 1, True, 30)
+    @example(-400, 0, 1, False)
+    @example(-5, 0, 1, False)
+    @example(-4, 0, 7, False)
+    @example(15, 0, 7, False)
+    @example(16, 0, 1, False)
+    @example(400, 0, 1, True)
     @given(
         st.integers(-400, 400),
         st.sampled_from((-1, 0, 1)),
         st.integers(1, 2**300),
         st.booleans(),
-        st.integers(1, 40),
     )
-    def test_matches_decimal_module(self, p, offset, scale, negative, sig):
+    def test_renders_within_half_unit_in_its_form(self, p, offset, scale, negative):
         # num/den is 10**p, or one unit of num either side of it
         if p >= 0:
             num, den = 10**p * scale + offset, scale
         else:
             num, den = scale + offset, 10**-p * scale
-        num = -num if negative else num
-        assert sweep._decimal_digits(num, den, sig) == reference_decimal(num, den, sig)
+        fr = Fraction(-num if negative else num, den)
+        check_rendering(fr, decimal_string(fr))
 
 
 class TestPmfCommand:
@@ -291,6 +301,32 @@ class TestPackageSurface:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert done.stdout == "['uniconc.asymptotics']\n"
+
+    def test_host_default_context_changes_no_output(self):
+        # a host may set decimal.DefaultContext before importing the package;
+        # every Context fills the fields it leaves unnamed from it
+        run = (
+            "import sys, uniconc.cli as c\n"
+            "print([c.main(argv) for argv in (\n"
+            "    ['conc', '--ell', '10', '--n', '300'],\n"
+            "    ['asymptotics', '--ell', '2', '--n-list', '100,1000', '--format', 'csv'],\n"
+            "    ['verify', '--checks', 'main,corollary,dsequence', '--ell-range', '2:4',\n"
+            "     '--n-range', '1:6', '--out', '-'])])\n"
+        )
+        hostile = (
+            "import decimal\n"
+            "decimal.DefaultContext.traps[decimal.Inexact] = True\n"
+            "decimal.DefaultContext.prec = 5\n"
+            "decimal.DefaultContext.rounding = decimal.ROUND_FLOOR\n"
+        )
+        src = str(Path(uniconc.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        plain, hosted = (
+            subprocess.run([sys.executable, "-c", pre + run], env=env, capture_output=True)
+            for pre in ("", hostile)
+        )
+        assert plain.returncode == 0 and plain.stdout.endswith(b"\n[0, 0, 0]\n")
+        assert (hosted.returncode, hosted.stdout, hosted.stderr) == (0, plain.stdout, plain.stderr)
 
     @pytest.mark.parametrize("module", sorted(FORMER_ROOT_EXPORTS))
     def test_former_root_exports_resolve_in_their_modules(self, module):
@@ -771,9 +807,9 @@ class TestSweepEngine:
             concs.append(real_conc(params))
             return concs[-1]
 
-        def decimal_string(fr, sig=30):
+        def decimal_string(fr):
             rendered.extend(i for i, c in enumerate(concs) if fr is c)
-            return real_render(fr, sig)
+            return real_render(fr)
 
         monkeypatch.setattr(sweep, "concentration", concentration)
         monkeypatch.setattr(sweep, "decimal_string", decimal_string)
@@ -830,8 +866,9 @@ class TestSweepEngine:
             cell = sweep._cell_bessel_chain(sweep._Point(3, 1), 64)
         want = three_way(Verdict(left).outcome, Verdict(right).outcome)
         assert cell.verdict == want.value
-        lo, hi = min(left.lo, right.lo), min(left.hi, right.hi)
-        assert (cell.margin_lo, cell.margin_hi) == tuple(map(sweep._dyadic_string, (lo, hi)))
+        ends = min(left.lo, right.lo), min(left.hi, right.hi)
+        margins = tuple(decimal_string(d.as_fraction()) for d in ends)
+        assert (cell.margin_lo, cell.margin_hi) == margins
 
 
 grid_points = st.tuples(st.integers(min_value=2, max_value=12), st.integers(min_value=1, max_value=60))
@@ -960,6 +997,18 @@ class TestReportCommand:
         assert sorted(p.name for p in runs.iterdir()) == [
             "grid.v2.csv", "grid.v2.json", "grid.v3.csv", "grid.v3.json",
         ]
+
+    @pytest.mark.parametrize("out", ["rr/", "rr/.", "rr/..", ".", "..", ""])
+    def test_out_without_a_file_name_is_refused(self, tmp_path, capsys, monkeypatch, out):
+        # the suffixes are appended to the text: rr/ would write rr/.csv
+        def refuse(config):
+            raise AssertionError("sweep ran")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_sweep", refuse)
+        assert main(["report", "--ell-range", "2:2", "--n-range", "1:2", "--out", out]) == 2
+        assert "--out must end in a file name" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @staticmethod
     def check_lines(out: str) -> dict[str, str]:

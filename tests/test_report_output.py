@@ -25,6 +25,7 @@ from uniconc.sweep import (
     SweepCell,
     SweepConfig,
     SweepReport,
+    decimal_string,
     run_sweep,
     write_report_csv,
     write_report_json,
@@ -178,7 +179,7 @@ class TestCellStorage:
     @example(Interval(Dyadic(-5, -1), Dyadic(-3, -2)))
     def test_ends_that_render_alike_share_one_string(self, iv):
         lo, hi = sweep._interval_strings(iv)
-        assert (lo, hi) == (sweep._dyadic_string(iv.lo), sweep._dyadic_string(iv.hi))
+        assert (lo, hi) == tuple(decimal_string(d.as_fraction()) for d in (iv.lo, iv.hi))
         assert (lo is hi) == (lo == hi)
 
     def test_checks_of_one_point_share_the_central_strings(self):
