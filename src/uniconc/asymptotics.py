@@ -47,20 +47,21 @@ def local_clt_sup_dev(ell: int, n: int) -> float:
     """Sup over k of |sqrt(n)*pmf(k) - normal density at the matching point|.
 
     Off the support only the Gaussian term counts, and it falls away from
-    the mean, so its supremum there sits at k = -1 and k = n(ell-1) + 1;
-    the scan covers [-1, n(ell-1) + 1].
+    the mean, so its supremum there sits at k = -1 and k = n(ell-1) + 1.
+    The pmf is symmetric about the centre n(ell-1)/2, and the Gaussian is
+    centred there exactly, so k and n(ell-1) - k give the same z up to sign
+    and the same deviation bit for bit: the sup over [-1, n(ell-1) + 1] is
+    the sup over [-1, centre].
 
-    It runs outward from the centre n(ell-1)/2, down from its floor and up
-    from the next point, and each direction stops at the first k where both
+    It runs down from the centre's floor and stops at the first k where both
     ``a = sqrt(n)*pmf(k)`` and the Gaussian ``g`` are <= the running sup.
-    For a, b >= 0, ``|a - b| <= max(a, b)``.  The pmf is symmetric and
-    unimodal about the centre, and the Gaussian is centred at n*mu, which
-    is the centre exactly, so neither exact value grows further out.  Every
-    step that computes them keeps order: each decimal operation, exp and
-    sqrt included, is correctly rounded, and correct rounding never
-    reverses the order of two exact values.  So neither computed value
-    grows further out either, no later point can beat the sup, and the
-    result equals the full scan's bit for bit.
+    For a, b >= 0, ``|a - b| <= max(a, b)``.  The pmf is unimodal, so
+    neither exact value grows further out.  Every step that computes them
+    keeps order: each decimal operation, exp and sqrt included, is correctly
+    rounded, and correct rounding never reverses the order of two exact
+    values.  So neither computed value grows further out either, no later
+    point can beat the sup, and the result equals the full scan's bit for
+    bit.
     """
     _check(ell, n)
     d = power(LatticeParams(ell, n))
@@ -73,14 +74,13 @@ def local_clt_sup_dev(ell: int, n: int) -> float:
         norm = 1 / (sigma * (2 * _PI).sqrt())
         zero = Decimal(0)
         sup = zero
-        for ks in (range(top // 2, -2, -1), range(top // 2 + 1, top + 2)):
-            for k in ks:
-                z = (k - n * mu) / (sigma * sqrt_n)
-                gauss = norm * (-z * z / 2).exp()
-                mass = sqrt_n * d.numerators[k] / denom if 0 <= k <= top else zero
-                dev = abs(mass - gauss)
-                if dev > sup:
-                    sup = dev
-                if mass <= sup and gauss <= sup:
-                    break
+        for k in range(top // 2, -2, -1):
+            z = (k - n * mu) / (sigma * sqrt_n)
+            gauss = norm * (-z * z / 2).exp()
+            mass = sqrt_n * d.numerators[k] / denom if k >= 0 else zero
+            dev = abs(mass - gauss)
+            if dev > sup:
+                sup = dev
+            if mass <= sup and gauss <= sup:
+                break
         return float(sup)

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .certify import (
-    _GUARD_BITS, Interval, RootBound, _check_precision, _div, _round_ratio, _series
-)
+from .certify import _GUARD_BITS, Interval, RootBound, _check_precision, _round_ratio, _series
 from .errors import ParameterError, check_int
 
 __all__ = [
@@ -83,31 +81,29 @@ def bessel_G(lam, precision_bits: int) -> Interval:
     """Enclosure of G(lam) = exp(-lam) * (I0(lam) + I1(lam)) for rational
     lam >= 0 at ``precision_bits`` (64..16384), as ``certify.evaluate``.
 
-    With x = lam**2/4, I0 = sum x**m / m!**2, I1 = (lam/2) sum x**m /
-    (m! (m+1)!) and exp(lam) = sum lam**k / k!.  ``certify._series``, the
-    one directed series summer, sums each in fixed point at scale 2**w,
-    w = precision_bits + _GUARD_BITS, once as a lower and once as an upper
-    chain; its docstring gives the rigour argument.  Every ratio here falls
-    with m, so once one is below 1/2 every later one is too.
-    Width: the partial sums of I0 + I1 and of exp are at least 1 (2**w
-    scaled), so each unit of rounding error is a relative error of at most
-    2**-w.  G is the lower I0 + I1 over the upper exp and the upper over the
-    lower, each quotient rounded outward by ``_round_ratio``.
+    I0 + I1 is one series, sum_j (lam/2)**j / (floor(j/2)! ceil(j/2)!), whose
+    term ratio is (lam/2) / ceil(j/2); exp(lam) = sum_j lam**j / j!, with
+    ratio lam / j.  ``certify._series``, the one directed series summer,
+    sums each in fixed point at scale 2**w, w = precision_bits +
+    _GUARD_BITS, once as a lower and once as an upper chain; its docstring
+    gives the rigour argument.  Neither ratio rises with j, so once one is
+    below 1/2 every later one is too.
+    Width: both partial sums are at least 1 (2**w scaled), so each unit of
+    rounding error is a relative error of at most 2**-w.  G is the lower
+    I0 + I1 over the upper exp and the upper over the lower, each quotient
+    rounded outward by ``_round_ratio``.  At lam = 0 both sums are exactly
+    2**w, so G = 1 exactly.
     """
     lam = Fraction(lam)
     _check_precision(precision_bits)
     if lam < 0:
         raise ParameterError(f"lambda must be >= 0, got {lam}")
-    if lam == 0:
-        return Interval.point(1)
     p, q = lam.numerator, lam.denominator
     bits = precision_bits + _GUARD_BITS
     one = 1 << bits
-    pp, qq = p * p, 4 * q * q
     ends = []
     for up in (False, True):
-        i0 = _series(lambda m: (pp, qq * m * m), one, up)
-        i1 = _series(lambda m: (pp, qq * m * (m + 1)), _div(p * one, 2 * q, up), up)
-        e = _series(lambda m: (p, q * m), one, not up)
-        ends.append(_round_ratio(i0 + i1, e, bits, up))
+        i01 = _series(lambda j: (p, 2 * q * ((j + 1) // 2)), one, up)
+        e = _series(lambda j: (p, q * j), one, not up)
+        ends.append(_round_ratio(i01, e, bits, up))
     return Interval(*ends)

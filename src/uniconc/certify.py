@@ -1,7 +1,7 @@
 """Certified comparison of exact rationals against irrational bound values.
 
-Endpoints are dyadic rationals (integer mantissa times a power of two), so
-comparison is exact.  Every certified endpoint is one exact integer
+Endpoints are dyadic rationals (integer mantissa times a power of two),
+used only by their values, so comparison is exact.  Every certified endpoint is one exact integer
 expression rounded once outward to a requested number of significant bits:
 a root by one ``isqrt`` (``_sqrt_ratio``), a sum or a margin by one
 ``_round_ratio``.  Each enclosure therefore holds the exact real value, and a
@@ -43,19 +43,13 @@ _MAX_PRECISION_BITS = 16384
 # dyadic endpoints
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dyadic:
-    """The rational ``man * 2**exp``, normalized so ``man`` is odd or zero."""
+    """The rational ``man * 2**exp``.  Dyadics compare by value: the same
+    number may be held with any mantissa."""
 
     man: int
     exp: int
-
-    @staticmethod
-    def normalized(man: int, exp: int) -> "Dyadic":
-        if man == 0:
-            return Dyadic(0, 0)
-        shift = (man & -man).bit_length() - 1
-        return Dyadic(man >> shift, exp + shift)
 
     def as_ratio(self) -> tuple[int, int]:
         """The value as an exact ``(num, den)`` with ``den`` a power of two."""
@@ -71,6 +65,9 @@ class Dyadic:
         else:
             b <<= other.exp - self.exp
         return a < b
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Dyadic) and not (self < other or other < self)
 
     @property
     def sign(self) -> int:
@@ -100,25 +97,24 @@ def _round_ratio(num: int, den: int, bits: int, up: bool) -> Dyadic:
         m -= 1
     e = m - bits
     q = _div(num, den << e, up) if e >= 0 else _div(num << -e, den, up)
-    return Dyadic.normalized(q, e)
+    return Dyadic(q, e)
 
 
-def _sqrt_ratio(num: int, den: int, exp: int, bits: int, up: bool) -> Dyadic:
-    """sqrt(num/den * 2**exp) for num >= 0 and den > 0, rounded toward -inf,
-    or toward +inf when ``up``: one exact integer ratio and one ``isqrt``.
+def _sqrt_ratio(num: int, den: int, bits: int, up: bool) -> Dyadic:
+    """sqrt(num/den) for num >= 0 and den > 0, rounded toward -inf, or toward
+    +inf when ``up``: one exact integer ratio and one ``isqrt``.
 
-    The shift ``s`` comes from the bit lengths of num and den alone and makes
-    a nonzero num * 2**s / den at least 2**(2*bits + 1): the root then has at
-    least ``bits + 1`` significant bits at any magnitude.  ``s - exp`` is
-    even, so the root of the power of two left over is exact.
+    The even shift ``2*h`` comes from the bit lengths of num and den alone
+    and makes a nonzero num * 4**h / den at least 2**(2*bits + 1): the root
+    then has at least ``bits + 1`` significant bits at any magnitude, and
+    the root of 4**-h is 2**-h exactly.
     """
-    s = 2 * bits + 2 - num.bit_length() + den.bit_length()
-    s += (s - exp) & 1
-    q = _div(num << s, den, up) if s >= 0 else _div(num, den << -s, up)
+    h = bits + 1 - (num.bit_length() - den.bit_length()) // 2
+    q = _div(num << 2 * h, den, up) if h >= 0 else _div(num, den << -2 * h, up)
     root = isqrt(q)
     if up and root * root != q:
         root += 1
-    return Dyadic.normalized(root, (exp - s) // 2)
+    return Dyadic(root, -h)
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +131,6 @@ class Interval:
     def __post_init__(self):
         if self.hi < self.lo:
             raise ValueError("interval endpoints out of order")
-
-    @staticmethod
-    def point(v: int) -> "Interval":
-        d = Dyadic.normalized(v, 0)
-        return Interval(d, d)
 
 
 def _ratio(v: Fraction | int | Dyadic) -> tuple[int, int]:
@@ -213,7 +204,7 @@ def _pi(precision_bits: int) -> Interval:
 
     def end(up: bool) -> Dyadic:
         man = 16 * _arctan_recip(5, bits, up) - 4 * _arctan_recip(239, bits, not up)
-        return Dyadic.normalized(man, -bits)
+        return Dyadic(man, -bits)
 
     return Interval(end(False), end(True))
 
@@ -256,14 +247,14 @@ def evaluate(bound: RootBound, precision_bits: int) -> Interval:
 
     The bound is written ``sqrt(a**2 r / pi**k) + sqrt(b**2 r / (3 pi**k))``,
     the second root only when ``b > 0``.  Each root is enclosed directly by
-    ``_sqrt_ratio``: pi's upper end goes under the lower root and its lower
-    end under the upper root.
+    ``_sqrt_ratio`` from one exact ratio: pi's upper end goes under the lower
+    root and its lower end under the upper root.
     """
     if not isinstance(bound, RootBound):
         raise ExpressionError(f"bound must be a RootBound, got {bound!r}")
     _check_precision(precision_bits)
     bits = precision_bits + _GUARD_BITS
-    pi_k = pi_enclosure(bits) if bound.k else Interval.point(1)
+    pi_k = pi_enclosure(bits) if bound.k else None
     r = bound.r
     terms = [
         (coef.numerator**2 * r.numerator, coef.denominator**2 * r.denominator * d)
@@ -272,8 +263,8 @@ def evaluate(bound: RootBound, precision_bits: int) -> Interval:
     ]
 
     def end(up: bool) -> Dyadic:
-        pi = pi_k.lo if up else pi_k.hi
-        roots = [_sqrt_ratio(num, den * pi.man, -pi.exp, bits, up) for num, den in terms]
+        pi_num, pi_den = (pi_k.lo if up else pi_k.hi).as_ratio() if pi_k else (1, 1)
+        roots = [_sqrt_ratio(num * pi_den, den * pi_num, bits, up) for num, den in terms]
         return roots[0] if len(roots) == 1 else _round_sum(*roots, 1, bits, up)
 
     return Interval(end(False), end(True))

@@ -18,6 +18,7 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
+from decimal import Decimal
 from itertools import groupby
 from pathlib import Path
 
@@ -162,11 +163,14 @@ def _cmd_pmf(args) -> int:
         # imported here so that no other command loads the oracle
         from .spectral import fourier_pmf
 
+        # the sum is only good to tol, so each value is printed rounded to
+        # tol's decimal place; adding 0.0 turns a rounded -0.0 into 0.0
+        places = max(0, -Decimal(repr(args.tol)).adjusted())
         ks = [args.k] if args.k is not None else range(params.top + 1)
         for k in ks:
-            value = fourier_pmf(args.ell, args.n, k, args.tol).value
+            value = round(fourier_pmf(args.ell, args.n, k, args.tol).value, places) + 0.0
             prefix = f"{k} " if args.k is None else ""
-            print(f"{prefix}{value:.12g}")
+            print(f"{prefix}{value:.{places}f}")
         return EXIT_OK
 
     if args.k is not None:

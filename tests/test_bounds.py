@@ -225,6 +225,31 @@ class TestBesselG:
         assert contains(g, ref)
         assert width_of(g) / ref <= Fraction(1, 2 ** (bits - 2))
 
+    @staticmethod
+    def reference(lam: Fraction, bits: int) -> Fraction:
+        """G(lam) from mpmath alone at four times ``bits``."""
+        with mpmath.workprec(4 * bits):
+            x = mpmath.mpf(lam.numerator) / lam.denominator
+            return frac_of_mpf(mpmath.exp(-x) * (mpmath.besseli(0, x) + mpmath.besseli(1, x)))
+
+    @pytest.mark.parametrize("bits", [64, 128, 256])
+    def test_scan_encloses_reference(self, bits):
+        """lam = k/3 for k = 1, 8, ..., 393, the sweep's lam = 2n/3 among
+        them: a chain rounded the wrong way leaves some of these outside."""
+        missed = [
+            k for k in range(1, 394, 7)
+            if not contains(bessel_G(Fraction(k, 3), bits), self.reference(Fraction(k, 3), bits))
+        ]
+        assert missed == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lam=st.fractions(min_value=0, max_value=200, max_denominator=1000),
+        bits=st.integers(64, 256),
+    )
+    def test_encloses_reference_at_any_rational(self, lam, bits):
+        assert contains(bessel_G(lam, bits), self.reference(lam, bits))
+
 
 class TestBesselChainBound:
     def test_values(self):

@@ -83,10 +83,6 @@ class TestRounding:
         tiny = _round_ratio(1, 10**50, 8, up=False)
         assert tiny.man > 0
 
-    def test_normalization(self):
-        d = Dyadic.normalized(8, 0)
-        assert (d.man, d.exp) == (1, 3)
-
     @settings(max_examples=200, deadline=None)
     @given(
         x=st.fractions(max_denominator=10**40).filter(bool),
@@ -147,12 +143,32 @@ def _endpoints(lo: Dyadic, hi: Dyadic) -> Interval:
     return Interval(min(lo, hi), max(lo, hi))
 
 
-dyadics = st.builds(Dyadic.normalized, st.integers(-(2**160), 2**160), st.integers(-200, 200))
+dyadics = st.builds(Dyadic, st.integers(-(2**160), 2**160), st.integers(-200, 200))
 intervals = st.builds(_endpoints, dyadics, dyadics)
 # each side of a verdict: an int, a Fraction or an Interval
 sides = st.one_of(
     st.integers(-(2**70), 2**70), st.fractions(max_denominator=3**80), intervals
 )
+
+
+class TestDyadicByValue:
+    """A Dyadic may hold its value with any mantissa: order, equality and
+    sign see the value alone."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=dyadics, y=dyadics, shift=st.integers(0, 64))
+    def test_agrees_with_fractions(self, x, y, shift):
+        scaled = Dyadic(x.man << shift, x.exp - shift)
+        fx, fy = x.as_fraction(), y.as_fraction()
+        assert scaled == x
+        assert (x < y, x == y, scaled < y, y < scaled) == (fx < fy, fx == fy, fx < fy, fy < fx)
+        assert scaled.sign == (fx > 0) - (fx < 0)
+
+    def test_equal_values_in_other_forms(self):
+        assert Dyadic(8, 0) == Dyadic(1, 3) == Dyadic(2**40, -37)
+        assert Dyadic(0, 5) == Dyadic(0, -5)
+        assert Interval(Dyadic(2, -1), Dyadic(6, 0)) == Interval(Dyadic(1, 0), Dyadic(3, 1))
+        assert Dyadic(1, 0) != Fraction(1)
 
 
 def sqrt_on_grid(x: Fraction, k: int, up: bool) -> Fraction:
@@ -165,8 +181,8 @@ def sqrt_on_grid(x: Fraction, k: int, up: bool) -> Fraction:
     return root * Fraction(2) ** k
 
 
-def sqrt_ratio(num: int, den: int, exp: int, bits: int, up: bool) -> Fraction:
-    return _sqrt_ratio(num, den, exp, bits, up).as_fraction()
+def sqrt_ratio(num: int, den: int, bits: int, up: bool) -> Fraction:
+    return _sqrt_ratio(num, den, bits, up).as_fraction()
 
 
 class TestSqrt:
@@ -174,12 +190,12 @@ class TestSqrt:
 
     def test_perfect_square(self):
         for up in (False, True):
-            assert _sqrt_ratio(4, 1, 0, 53, up) == Dyadic(1, 1)
-            assert _sqrt_ratio(9, 64, 0, 53, up) == Dyadic(3, -3)
-            assert _sqrt_ratio(9, 1, -6, 53, up) == Dyadic(3, -3)
+            assert sqrt_ratio(4, 1, 53, up) == 2
+            assert sqrt_ratio(9, 64, 53, up) == Fraction(3, 8)
+            assert sqrt_ratio(9 << 300, 1 << 306, 53, up) == Fraction(3, 8)
 
     def test_sqrt_two(self):
-        iv = Interval(_sqrt_ratio(2, 1, 0, 53, False), _sqrt_ratio(2, 1, 0, 53, True))
+        iv = Interval(_sqrt_ratio(2, 1, 53, False), _sqrt_ratio(2, 1, 53, True))
         with mpmath.workprec(200):
             ref = frac_of_mpf(mpmath.sqrt(2))
         assert contains(iv, ref)
@@ -187,10 +203,10 @@ class TestSqrt:
 
     def test_zero(self):
         for up in (False, True):
-            assert _sqrt_ratio(0, 1, 0, 53, up).man == 0
+            assert _sqrt_ratio(0, 1, 53, up).sign == 0
 
     def test_square_contains_input(self):
-        lo, hi = sqrt_ratio(2, 1, 0, 64, False), sqrt_ratio(2, 1, 0, 64, True)
+        lo, hi = sqrt_ratio(2, 1, 64, False), sqrt_ratio(2, 1, 64, True)
         assert lo * lo < 2 < hi * hi
 
     @settings(max_examples=200, deadline=None)
@@ -202,15 +218,17 @@ class TestSqrt:
     )
     def test_sqrt_matches_grid_oracle(self, num, den, exp, bits):
         """Directed roots on the grid 2**k that gives them at least
-        ``bits + 1`` significant bits."""
-        x = Fraction(num, den) * Fraction(2) ** exp
-        lo, hi = sqrt_ratio(num, den, exp, bits, False), sqrt_ratio(num, den, exp, bits, True)
+        ``bits + 1`` significant bits; 2**exp is folded into num or den."""
+        num, den = (num << exp, den) if exp >= 0 else (num, den << -exp)
+        x = Fraction(num, den)
+        lo, hi = sqrt_ratio(num, den, bits, False), sqrt_ratio(num, den, bits, True)
         assert lo * lo <= x <= hi * hi
         assert hi - lo <= lo / 2 ** (bits - 1)
-        # the shift rule: 2k = exp - s with s from the bit lengths, s - exp even
+        # the shift rule: 2k = -s with s the least even shift from the bit
+        # lengths that is at least 2*bits + 2 - (len(num) - len(den))
         s = 2 * bits + 2 - num.bit_length() + den.bit_length()
-        s += (s - exp) % 2
-        k = (exp - s) // 2
+        s += s % 2
+        k = -s // 2
         assert lo == sqrt_on_grid(x, k, False) and hi == sqrt_on_grid(x, k, True)
         assert lo >= Fraction(2) ** (k + bits)
 
@@ -227,7 +245,7 @@ class TestSqrt:
         root = Fraction(man) * Fraction(2) ** exp
         x = root * root
         for up in (False, True):
-            got = sqrt_ratio(x.numerator << den_exp, x.denominator << den_exp, 0, bits, up)
+            got = sqrt_ratio(x.numerator << den_exp, x.denominator << den_exp, bits, up)
             assert got == root
 
 

@@ -219,6 +219,27 @@ class TestPmfCommand:
         assert [r[0] for r in rows] == ["0", "1", "2"]
         assert [float(r[1]) for r in rows] == pytest.approx([0.25, 0.5, 0.25], abs=1e-10)
 
+    def test_fourier_prints_to_the_tolerance_place(self, capsys):
+        # 1/6**10 = 1.65381716879...e-08; the sum is good to tol = 1e-10, so
+        # the digits past the tenth place, which are noise, are not printed
+        assert main(["pmf", "--ell", "6", "--n", "10", "--k", "0", "--method", "fourier"]) == 0
+        out = capsys.readouterr().out
+        assert out == "0.0000000165\n"
+        assert Fraction(out.strip()) == round(Fraction(1, 6**10), 10)
+
+    def test_fourier_whole_support_at_a_coarser_tolerance(self, capsys):
+        argv = ["pmf", "--ell", "3", "--n", "4", "--method", "fourier", "--tol", "1e-7"]
+        assert main(argv) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        exact = power(LatticeParams(3, 4))
+        assert [Fraction(v) for _, v in rows] == [round(exact.pmf(k), 7) for k in range(9)]
+        assert all(len(v) == len("0.0123457") for _, v in rows)
+
+    def test_fourier_off_the_support_prints_no_negative_zero(self, capsys):
+        # the sum there is about -1.4e-16
+        assert main(["pmf", "--ell", "3", "--n", "4", "--k", "40", "--method", "fourier"]) == 0
+        assert capsys.readouterr().out == "0.0000000000\n"
+
     def test_invalid_parameters_exit_usage(self, capsys):
         assert main(["pmf", "--ell", "0", "--n", "2"]) == 2
         assert "error" in capsys.readouterr().err
