@@ -22,7 +22,8 @@ __all__ = ["clt_ratio", "local_clt_sup_dev"]
 _CONTEXT = Context(prec=40, rounding=ROUND_HALF_EVEN, Emax=999999, Emin=-999999, traps=[])
 # pi's enclosure is within 2**-160 of pi, whose digits past the 40th
 # (1693...) are far from a rounding boundary, so it rounds as pi does
-_PI = _CONTEXT.divide(*pi_enclosure(160).lo.as_ratio())
+_PI_LO = pi_enclosure(160).lo
+_PI = _CONTEXT.divide(_PI_LO.numerator, _PI_LO.denominator)
 
 
 def _check(ell: int, n: int) -> None:

@@ -45,18 +45,20 @@ _MAX_PRECISION_BITS = 16384
 
 @dataclass(frozen=True, eq=False)
 class Dyadic:
-    """The rational ``man * 2**exp``.  Dyadics compare by value: the same
+    """The rational ``man * 2**exp``, read as a Fraction is, by ``numerator``
+    and a power-of-two ``denominator``.  Dyadics compare by value: the same
     number may be held with any mantissa."""
 
     man: int
     exp: int
 
-    def as_ratio(self) -> tuple[int, int]:
-        """The value as an exact ``(num, den)`` with ``den`` a power of two."""
-        return (self.man << self.exp, 1) if self.exp >= 0 else (self.man, 1 << -self.exp)
+    @property
+    def numerator(self) -> int:
+        return self.man << self.exp if self.exp >= 0 else self.man
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(*self.as_ratio())
+    @property
+    def denominator(self) -> int:
+        return 1 if self.exp >= 0 else 1 << -self.exp
 
     def __lt__(self, other: "Dyadic") -> bool:
         a, b = self.man, other.man
@@ -68,10 +70,6 @@ class Dyadic:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Dyadic) and not (self < other or other < self)
-
-    @property
-    def sign(self) -> int:
-        return (self.man > 0) - (self.man < 0)
 
 
 def _div(a: int, b: int, up: bool) -> int:
@@ -133,15 +131,10 @@ class Interval:
             raise ValueError("interval endpoints out of order")
 
 
-def _ratio(v: Fraction | int | Dyadic) -> tuple[int, int]:
-    """``v`` as an exact ``(num, den)`` with ``den > 0``."""
-    return v.as_ratio() if isinstance(v, Dyadic) else (v.numerator, v.denominator)
-
-
 def _round_sum(x, y, sign: int, bits: int, up: bool) -> Dyadic:
     """``x + sign*y`` for Fractions, ints or Dyadics ``x`` and ``y``: one exact
     integer ratio, rounded once by ``_round_ratio``."""
-    (a, b), (c, d) = _ratio(x), _ratio(y)
+    a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
     return _round_ratio(a * d + sign * c * b, b * d, bits, up)
 
 
@@ -263,8 +256,8 @@ def evaluate(bound: RootBound, precision_bits: int) -> Interval:
     ]
 
     def end(up: bool) -> Dyadic:
-        pi_num, pi_den = (pi_k.lo if up else pi_k.hi).as_ratio() if pi_k else (1, 1)
-        roots = [_sqrt_ratio(num * pi_den, den * pi_num, bits, up) for num, den in terms]
+        pi = (pi_k.lo if up else pi_k.hi) if pi_k else 1
+        roots = [_sqrt_ratio(num * pi.denominator, den * pi.numerator, bits, up) for num, den in terms]
         return roots[0] if len(roots) == 1 else _round_sum(*roots, 1, bits, up)
 
     return Interval(end(False), end(True))
@@ -293,9 +286,10 @@ class Verdict:
 
     @property
     def outcome(self) -> Outcome:
-        if self.margin.lo.sign > 0:
+        # a Dyadic's denominator is positive, so its numerator carries its sign
+        if self.margin.lo.numerator > 0:
             return Outcome.HOLDS
-        if self.margin.hi.sign < 0:
+        if self.margin.hi.numerator < 0:
             return Outcome.FAILS
         return Outcome.INCONCLUSIVE
 

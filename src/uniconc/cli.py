@@ -203,9 +203,18 @@ def _cmd_pmf(args) -> int:
 
 def _cmd_conc(args) -> int:
     params = LatticeParams(args.ell, args.n)
-    value = pair_concentration(params) if args.pair else concentration(params)
+    value = pair_concentration(power(params)) if args.pair else concentration(params)
     print(f"{value.numerator}/{value.denominator} = {decimal_string(value)}")
     return EXIT_OK
+
+
+def _check_out(path: str | None) -> None:
+    """Refuse, before any work, an output path whose last component is
+    empty, . or ..: no file could be written there, and ``report``, which
+    appends its suffixes to the text, would write rr/.csv for rr/.  No path
+    and - mean stdout."""
+    if path not in (None, "-") and os.path.basename(path) in ("", ".", ".."):
+        raise ParameterError(f"--out must end in a file name, got {path!r}")
 
 
 @contextmanager
@@ -231,6 +240,7 @@ def _summary_line(report: SweepReport) -> str:
 def _cmd_verify(args) -> int:
     given = _read_config_file(args.config) if args.config else {}
     given.update(_flags(args))
+    _check_out(given.get("out"))
     report = run_sweep(_sweep_config(given))
     write = write_report_json if report.config.output_format == "json" else write_report_csv
     with _output(given.get("out")) as stream:
@@ -240,6 +250,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_asymptotics(args) -> int:
+    _check_out(args.out)
     try:
         n_list = [int(part) for part in args.n_list.split(",") if part.strip()]
     except ValueError:
@@ -270,9 +281,7 @@ def _cmd_asymptotics(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    # the suffixes are appended to the text as given: rr/ would write rr/.csv
-    if os.path.basename(args.out) in ("", ".", ".."):
-        raise ParameterError(f"--out must end in a file name, got {args.out!r}")
+    _check_out(args.out)
     report = run_sweep(_sweep_config(_flags(args), checks=CHECKS))
     csv_path, json_path = Path(f"{args.out}.csv"), Path(f"{args.out}.json")
     csv_path.parent.mkdir(parents=True, exist_ok=True)

@@ -169,9 +169,8 @@ def moments(d: ExactDensity) -> tuple[Fraction, Fraction]:
     return mean, var
 
 
-def pair_concentration(params: LatticeParams) -> Fraction:
+def pair_concentration(d: ExactDensity) -> Fraction:
     """Maximum probability of two adjacent points, max_k P({k, k+1}), exact."""
-    d = power(params)
     nums = d.numerators
     # a one-point support (ell = 1) has no pair; its one point is the maximum
     best = max((a + b for a, b in zip(nums, nums[1:])), default=nums[0])

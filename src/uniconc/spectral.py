@@ -32,7 +32,6 @@ _MAX_NODES = 2**20
 class QuadratureResult:
     value: float
     error_estimate: float
-    subdivisions: int
 
 
 def _check_tol(tol: float) -> None:
@@ -67,7 +66,7 @@ def _cosine_sum(samples: list[float], m: int) -> float:
 
 def _cross_checked(values: tuple[float, float], nodes: int, tol: float) -> QuadratureResult:
     """The sum at ``nodes`` nodes, checked against the sum at ``nodes + 1``."""
-    result = QuadratureResult(values[0], abs(values[1] - values[0]), nodes)
+    result = QuadratureResult(values[0], abs(values[1] - values[0]))
     if result.error_estimate > tol:
         raise ConvergenceError(
             f"the sums at {nodes} and {nodes + 1} nodes differ by more than tol={tol}", result
@@ -135,5 +134,5 @@ def split_integrals(
     coarse, fine = (_split(ell, n, alpha, degree, N) for N in (nodes, nodes + 1))
     inner = _cross_checked((coarse[0], fine[0]), nodes, tol / 2)
     if ell == 2:
-        return inner, QuadratureResult(0.0, 0.0, 0)
+        return inner, QuadratureResult(0.0, 0.0)
     return inner, _cross_checked((coarse[1], fine[1]), nodes, tol / 2)

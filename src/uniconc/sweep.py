@@ -26,6 +26,7 @@ from typing import TextIO
 
 from . import bounds
 from .certify import (
+    Dyadic,
     Interval,
     RootBound,
     Verdict,
@@ -177,17 +178,12 @@ class SweepReport:
 _CONTEXT = Context(prec=30, rounding=ROUND_HALF_UP, Emax=MAX_EMAX, Emin=MIN_EMIN, clamp=0, traps=[])
 
 
-def decimal_string(fr: Fraction) -> str:
-    """Decimal rendering of a rational, correctly rounded half away from zero
-    to 30 significant digits, with the mantissa's trailing zeros stripped:
+def decimal_string(x: Fraction | int | Dyadic) -> str:
+    """Decimal rendering of any rational, correctly rounded half away from
+    zero to 30 significant digits, with the mantissa's trailing zeros stripped:
     positional for decimal exponents -4..15, scientific otherwise.  Correct
     rounding fixes every digit, so the text is the same on every platform."""
-    return _quotient_string(fr.numerator, fr.denominator)
-
-
-def _quotient_string(num: int, den: int) -> str:
-    """``decimal_string`` of ``num/den`` for integers with ``den > 0``."""
-    q = _CONTEXT.divide(Decimal(num), Decimal(den)).normalize(_CONTEXT)
+    q = _CONTEXT.divide(Decimal(x.numerator), Decimal(x.denominator)).normalize(_CONTEXT)
     e = q.adjusted()
     if -4 <= e < 16:
         return f"{q:f}"
@@ -197,7 +193,7 @@ def _quotient_string(num: int, den: int) -> str:
 def _interval_strings(iv: Interval) -> tuple[str, str]:
     """Both ends rendered; ends that render alike share one string, so a
     report holds it once."""
-    lo, hi = (_quotient_string(*d.as_ratio()) for d in (iv.lo, iv.hi))
+    lo, hi = decimal_string(iv.lo), decimal_string(iv.hi)
     return (lo, lo) if lo == hi else (lo, hi)
 
 
@@ -299,7 +295,7 @@ def _cell_wallis(p: _Point, prec: int) -> SweepCell:
 def _cell_bessel_chain(p: _Point, prec: int) -> SweepCell:
     # only run on the three-point lattice (see _CHECK_TABLE)
     n = p.n
-    pair = pair_concentration(p.params)
+    pair = pair_concentration(p.pmf)
     middle = bounds.bessel_G(Fraction(2 * n, 3), prec)
     outer = evaluate(bounds.bessel_chain_expr(n), prec)
     left = verdict_between(pair, middle, prec).margin

@@ -35,6 +35,7 @@ from uniconc.exactdist import (
 from uniconc.spectral import fourier_pmf, split_integrals
 from uniconc.sweep import CHECKS, SweepConfig, run_sweep, write_report_csv, write_report_json
 
+from test_certify import fraction_of
 from test_report_output import written
 
 PRECISION_BITS = 256
@@ -130,18 +131,18 @@ def test_criterion_05_wallis():
 def test_criterion_06_bessel_chain():
     """pair < G(2n/3) < sqrt(3/(pi*n)) certified for n 1..200."""
     for n in range(1, 201):
-        pair = pair_concentration(LatticeParams(3, n))
+        pair = pair_concentration(power(LatticeParams(3, n)))
         middle = bessel_G(Fraction(2 * n, 3), PRECISION_BITS)
-        width = middle.hi.as_fraction() - middle.lo.as_fraction()
-        assert width <= middle.lo.as_fraction() / 2 ** (PRECISION_BITS - 2)
+        width = fraction_of(middle.hi) - fraction_of(middle.lo)
+        assert width <= fraction_of(middle.lo) / 2 ** (PRECISION_BITS - 2)
         outer = evaluate(bessel_chain_expr(n), PRECISION_BITS)
         assert verdict_between(pair, middle, PRECISION_BITS).outcome is Outcome.HOLDS, n
         assert verdict_between(middle, outer, PRECISION_BITS).outcome is Outcome.HOLDS, n
     spot = bessel_G(Fraction(4, 3), PRECISION_BITS)
     # the whole enclosure rounds to the 30-digit reference value
     spot_ref, half_unit = Fraction("0.612214668849917637458479695418"), Fraction(5, 10**31)
-    assert spot_ref - half_unit <= spot.lo.as_fraction()
-    assert spot.hi.as_fraction() <= spot_ref + half_unit
+    assert spot_ref - half_unit <= fraction_of(spot.lo)
+    assert fraction_of(spot.hi) <= spot_ref + half_unit
     assert verdict_between(Fraction(5, 9), spot, 128).outcome is Outcome.HOLDS
     _report("06", True, "adjacent-pair chain certified n 1..200; G(4/3) spot checked")
 
@@ -176,7 +177,7 @@ def test_criterion_08_majorant_sequence():
     for ell in range(2, 11):
         for n in range(1, 201):
             ratio = clt_ratio(ell, n, concentration(LatticeParams(ell, n)))
-            upper = float(evaluate(d_sequence_expr(n), 64).hi.as_fraction())
+            upper = float(fraction_of(evaluate(d_sequence_expr(n), 64).hi))
             worst_slack = max(worst_slack, ratio - upper)
             assert ratio <= upper + 1e-9, (ell, n)
     _report(

@@ -19,6 +19,8 @@ from uniconc.bounds import (
 from uniconc.certify import Interval, Outcome, evaluate, verdict_between
 from uniconc.errors import ParameterError
 
+from test_certify import fraction_of
+
 
 def frac_of_mpf(x) -> Fraction:
     sign, man, exp, _ = mpmath.mpf(x)._mpf_
@@ -27,15 +29,15 @@ def frac_of_mpf(x) -> Fraction:
 
 
 def contains(iv: Interval, v: Fraction) -> bool:
-    return iv.lo.as_fraction() <= v <= iv.hi.as_fraction()
+    return fraction_of(iv.lo) <= v <= fraction_of(iv.hi)
 
 
 def width_of(iv: Interval) -> Fraction:
-    return iv.hi.as_fraction() - iv.lo.as_fraction()
+    return fraction_of(iv.hi) - fraction_of(iv.lo)
 
 
 def assert_encloses(iv, reference: float, width: float = 1e-15):
-    assert float(iv.lo.as_fraction()) <= reference <= float(iv.hi.as_fraction()) or contains(
+    assert float(fraction_of(iv.lo)) <= reference <= float(fraction_of(iv.hi)) or contains(
         iv, Fraction(reference)
     )
     assert float(width_of(iv)) <= width
@@ -84,7 +86,7 @@ class TestMainBound:
     def test_relative_width_contract(self):
         for bits in (64, 128, 256):
             iv = evaluate(main_bound_expr(7, 13), bits)
-            rel = width_of(iv) / iv.lo.as_fraction()
+            rel = width_of(iv) / fraction_of(iv.lo)
             assert rel <= Fraction(1, 2 ** (bits - 2))
 
     def test_rejects_point_mass(self):
@@ -123,7 +125,7 @@ class TestCorollaryBound:
             main = evaluate(main_bound_expr(2, n), 128)
             cor = evaluate(corollary_bound_expr(2, n), 128)
             assert not (main.hi < cor.lo or cor.hi < main.lo)
-            assert abs(float(main.lo.as_fraction() - cor.lo.as_fraction())) < 1e-30
+            assert abs(float(fraction_of(main.lo) - fraction_of(cor.lo))) < 1e-30
 
 
 class TestWallisBound:

@@ -24,10 +24,12 @@ from uniconc.certify import (
     verdict_between,
     _arctan_recip,
     _round_ratio,
+    _round_sum,
     _series,
     _sqrt_ratio,
 )
 from uniconc.errors import DomainError, ExpressionError, ParameterError
+from uniconc.sweep import decimal_string
 
 
 def frac_of_mpf(x) -> Fraction:
@@ -53,12 +55,16 @@ def setup_module():
         PI_REF = frac_of_mpf(+mpmath.pi)
 
 
+def fraction_of(d: Dyadic) -> Fraction:
+    return Fraction(d.numerator, d.denominator)
+
+
 def contains(iv: Interval, v: Fraction) -> bool:
-    return iv.lo.as_fraction() <= v <= iv.hi.as_fraction()
+    return fraction_of(iv.lo) <= v <= fraction_of(iv.hi)
 
 
 def width_of(iv: Interval) -> Fraction:
-    return iv.hi.as_fraction() - iv.lo.as_fraction()
+    return fraction_of(iv.hi) - fraction_of(iv.lo)
 
 
 class TestRounding:
@@ -66,18 +72,18 @@ class TestRounding:
         down = _round_ratio(1, 3, 16, up=False)
         up = _round_ratio(1, 3, 16, up=True)
         third = Fraction(1, 3)
-        assert down.as_fraction() < third < up.as_fraction()
-        assert up.as_fraction() - down.as_fraction() <= Fraction(1, 2**14)
+        assert fraction_of(down) < third < fraction_of(up)
+        assert fraction_of(up) - fraction_of(down) <= Fraction(1, 2**14)
 
     def test_negative_mirrored(self):
         down = _round_ratio(-1, 3, 16, up=False)
         up = _round_ratio(-1, 3, 16, up=True)
-        assert down.as_fraction() < Fraction(-1, 3) < up.as_fraction()
+        assert fraction_of(down) < Fraction(-1, 3) < fraction_of(up)
 
     def test_exact_dyadic_unchanged(self):
         for up in (False, True):
             d = _round_ratio(5, 8, 30, up)
-            assert d.as_fraction() == Fraction(5, 8)
+            assert fraction_of(d) == Fraction(5, 8)
 
     def test_never_rounds_to_zero(self):
         tiny = _round_ratio(1, 10**50, 8, up=False)
@@ -93,8 +99,8 @@ class TestRounding:
         num, den = x.numerator, x.denominator
         down, up = (_round_ratio(num * scale, den * scale, bits, u) for u in (False, True))
         assert (down, up) == tuple(_round_ratio(num, den, bits, u) for u in (False, True))
-        assert down.as_fraction() <= x <= up.as_fraction()
-        assert up.as_fraction() - down.as_fraction() <= abs(x) / 2 ** (bits - 1)
+        assert fraction_of(down) <= x <= fraction_of(up)
+        assert fraction_of(up) - fraction_of(down) <= abs(x) / 2 ** (bits - 1)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -126,7 +132,7 @@ class TestRounding:
         for up in (False, True):
             got = _round_ratio(num, den, bits, up)
             assert got == _round_ratio(x.numerator, x.denominator, bits, up)
-            value = got.as_fraction()
+            value = fraction_of(got)
             assert value >= x if up else value <= x
             mantissa = value / Fraction(2) ** (m - bits)
             assert mantissa.denominator == 1
@@ -153,16 +159,36 @@ sides = st.one_of(
 
 class TestDyadicByValue:
     """A Dyadic may hold its value with any mantissa: order, equality and
-    sign see the value alone."""
+    the numerator's sign see the value alone."""
 
     @settings(max_examples=200, deadline=None)
     @given(x=dyadics, y=dyadics, shift=st.integers(0, 64))
     def test_agrees_with_fractions(self, x, y, shift):
         scaled = Dyadic(x.man << shift, x.exp - shift)
-        fx, fy = x.as_fraction(), y.as_fraction()
+        fx, fy = fraction_of(x), fraction_of(y)
         assert scaled == x
         assert (x < y, x == y, scaled < y, y < scaled) == (fx < fy, fx == fy, fx < fy, fy < fx)
-        assert scaled.sign == (fx > 0) - (fx < 0)
+        assert (scaled.numerator > 0, scaled.numerator < 0) == (fx > 0, fx < 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=dyadics,
+        y=st.fractions(max_denominator=3**40),
+        sign=st.sampled_from((1, -1)),
+        bits=st.integers(1, 256),
+    )
+    def test_read_as_a_fraction_is_read(self, d, y, sign, bits):
+        """``numerator`` over a power-of-two ``denominator`` is the value
+        ``man * 2**exp``, and the renderer and the rounded sum, which read
+        any rational by those two, give a Dyadic's result for its Fraction."""
+        den = d.denominator
+        assert den > 0 and den & (den - 1) == 0
+        f = Fraction(d.numerator, den)
+        assert f == d.man * Fraction(2) ** d.exp
+        assert decimal_string(d) == decimal_string(f)
+        for up in (False, True):
+            assert _round_sum(d, y, sign, bits, up) == _round_sum(f, y, sign, bits, up)
+            assert _round_sum(y, d, sign, bits, up) == _round_sum(y, f, sign, bits, up)
 
     def test_equal_values_in_other_forms(self):
         assert Dyadic(8, 0) == Dyadic(1, 3) == Dyadic(2**40, -37)
@@ -182,7 +208,7 @@ def sqrt_on_grid(x: Fraction, k: int, up: bool) -> Fraction:
 
 
 def sqrt_ratio(num: int, den: int, bits: int, up: bool) -> Fraction:
-    return _sqrt_ratio(num, den, bits, up).as_fraction()
+    return fraction_of(_sqrt_ratio(num, den, bits, up))
 
 
 class TestSqrt:
@@ -203,7 +229,7 @@ class TestSqrt:
 
     def test_zero(self):
         for up in (False, True):
-            assert _sqrt_ratio(0, 1, 53, up).sign == 0
+            assert _sqrt_ratio(0, 1, 53, up).numerator == 0
 
     def test_square_contains_input(self):
         lo, hi = sqrt_ratio(2, 1, 64, False), sqrt_ratio(2, 1, 64, True)
@@ -314,11 +340,11 @@ class TestPi:
 
     def test_example_windows(self):
         iv = pi_enclosure(53)
-        assert Fraction("3.14159265358979") <= iv.lo.as_fraction()
-        assert iv.hi.as_fraction() <= Fraction("3.14159265358980")
+        assert Fraction("3.14159265358979") <= fraction_of(iv.lo)
+        assert fraction_of(iv.hi) <= Fraction("3.14159265358980")
         iv16 = pi_enclosure(16)
-        assert Fraction("3.1415") <= iv16.lo.as_fraction()
-        assert iv16.hi.as_fraction() <= Fraction("3.1416")
+        assert Fraction("3.1415") <= fraction_of(iv16.lo)
+        assert fraction_of(iv16.hi) <= Fraction("3.1416")
 
     def test_monotone_refinement(self):
         assert width_of(pi_enclosure(128)) < width_of(pi_enclosure(64))
@@ -510,7 +536,7 @@ class TestEvaluateProperties:
         with mpmath.workprec(bits + 256):
             at_hi = frac_of_mpf(mp_root_bound(a, b, r / Fraction(7, 2), 0))
             at_lo = frac_of_mpf(mp_root_bound(a, b, r / 3, 0))
-        assert iv.lo.as_fraction() <= at_hi and at_lo <= iv.hi.as_fraction()
+        assert fraction_of(iv.lo) <= at_hi and at_lo <= fraction_of(iv.hi)
 
 
 def decide(lhs: Fraction, bound: RootBound, precision_bits: int = 256):
@@ -524,7 +550,7 @@ class TestVerdictBetween:
     def test_reversed_boundary_case(self):
         v = decide(Fraction(1, 5), root_over_pi(Fraction(6, 48)))
         assert v.outcome is Outcome.FAILS
-        margin = float(v.margin.lo.as_fraction())
+        margin = float(fraction_of(v.margin.lo))
         assert -6e-4 < margin < -5e-4
 
     def test_holds_case(self):
@@ -542,11 +568,11 @@ class TestVerdictBetween:
         ]:
             v = decide(lhs, expr)
             if v.outcome is Outcome.HOLDS:
-                assert v.margin.lo.sign > 0
+                assert v.margin.lo.numerator > 0
             elif v.outcome is Outcome.FAILS:
-                assert v.margin.hi.sign < 0
+                assert v.margin.hi.numerator < 0
             else:
-                assert v.margin.lo.sign <= 0 <= v.margin.hi.sign
+                assert v.margin.lo.numerator <= 0 <= v.margin.hi.numerator
 
     def test_tiny_margin_decided_at_256_bits(self):
         # 1/sqrt(pi) rounded down to a multiple of 2**-100: the margin is
@@ -587,7 +613,7 @@ class TestVerdictBetween:
         encloses every rhs - lhs."""
         def ends(v):
             if isinstance(v, Interval):
-                return v.lo.as_fraction(), v.hi.as_fraction()
+                return fraction_of(v.lo), fraction_of(v.hi)
             return Fraction(v), Fraction(v)
 
         (lhs_lo, lhs_hi), (rhs_lo, rhs_hi) = ends(lhs), ends(rhs)
@@ -598,13 +624,13 @@ class TestVerdictBetween:
             _round_ratio(low.numerator, low.denominator, bits, False),
             _round_ratio(high.numerator, high.denominator, bits, True),
         )
-        assert v.margin.lo.as_fraction() <= low and high <= v.margin.hi.as_fraction()
+        assert fraction_of(v.margin.lo) <= low and high <= fraction_of(v.margin.hi)
         if v.outcome is Outcome.HOLDS:
             assert low > 0
         elif v.outcome is Outcome.FAILS:
             assert high < 0
         else:
-            assert v.margin.lo.sign <= 0 <= v.margin.hi.sign
+            assert v.margin.lo.numerator <= 0 <= v.margin.hi.numerator
 
     def test_overlapping_intervals_inconclusive(self):
         iv = evaluate(RootBound(ONE, ZERO, Fraction(2), 0), 64)
@@ -618,5 +644,5 @@ class TestVerdictBetween:
         with pytest.raises(TypeError):
             Verdict(Outcome.HOLDS, margin)
         outcome = Verdict(margin).outcome
-        assert (outcome is Outcome.HOLDS) == (margin.lo.sign > 0)
-        assert (outcome is Outcome.FAILS) == (margin.hi.sign < 0)
+        assert (outcome is Outcome.HOLDS) == (margin.lo.numerator > 0)
+        assert (outcome is Outcome.FAILS) == (margin.hi.numerator < 0)

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 import uniconc
 import uniconc.cli as cli
+import uniconc.exactdist as exactdist
 import uniconc.spectral as spectral
 import uniconc.sweep as sweep
 from uniconc.certify import Dyadic, Interval, Outcome, Verdict
@@ -44,6 +45,7 @@ from uniconc.sweep import (
     write_report_json,
 )
 
+from test_certify import fraction_of
 from test_report_output import written
 
 
@@ -137,7 +139,7 @@ class TestDecimalString:
     def test_dyadic_rendering_matches_fraction(self, man, exp):
         # unnormalized mantissas too: the rendering depends on the value only
         d = Dyadic(man, exp)
-        assert sweep._interval_strings(Interval(d, d)) == (decimal_string(d.as_fraction()),) * 2
+        assert sweep._interval_strings(Interval(d, d)) == (decimal_string(fraction_of(d)),) * 2
 
     @settings(max_examples=100, deadline=None)
     @given(st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40)))
@@ -605,6 +607,26 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err == f"error: expected a range A:B, got {text!r}\n"
 
+    @pytest.mark.parametrize("out", ["", "rr/", ".", ".."])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_out_without_a_file_name_is_refused(self, tmp_path, capsys, monkeypatch, via, out):
+        def refuse(config):
+            raise AssertionError("sweep ran")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_sweep", refuse)
+        argv = ["verify", "--ell-range", "2:2", "--n-range", "1:2"]
+        if via == "flag":
+            argv += ["--out", out]
+        else:
+            Path("sweep.cfg").write_text(f"out={out}\n")
+            argv += ["--config", "sweep.cfg"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --out must end in a file name, got {out!r}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ([] if via == "flag" else ["sweep.cfg"])
+
     def test_io_error_exit_code(self, tmp_path):
         code = main(
             ["verify", "--ell-range", "2:2", "--n-range", "1:1", "--checks", "main",
@@ -786,8 +808,8 @@ class TestSweepEngine:
     def test_exact_objects_built_once_per_point_and_only_on_demand(self, monkeypatch):
         calls = {"power": 0, "concentration": 0}
 
-        def counted(name):
-            real = getattr(sweep, name)
+        def counted(module, name):
+            real = getattr(module, name)
 
             def wrapper(params):
                 calls[name] += 1
@@ -795,10 +817,15 @@ class TestSweepEngine:
 
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(sweep, name, counted(name))
+        # a pmf built inside exactdist counts as one built by the sweep
+        for module, name in ((sweep, "power"), (exactdist, "power"), (sweep, "concentration")):
+            monkeypatch.setattr(module, name, counted(module, name))
         run_sweep(SweepConfig((2, 4), (1, 3), ("argmax", "moments", "oracle_equiv"), 128))
         assert calls == {"power": 9, "concentration": 0}
+        calls.update(power=0)
+        # the pair maximum reads the point's one pmf
+        run_sweep(SweepConfig((3, 3), (1, 3), ("argmax", "bessel_chain"), 128))
+        assert calls == {"power": 3, "concentration": 0}
         calls.update(power=0)
         run_sweep(SweepConfig((2, 4), (1, 3), ("main", "corollary", "dsequence"), 128))
         assert calls == {"power": 0, "concentration": 9}
@@ -821,16 +848,17 @@ class TestSweepEngine:
 
         # the concentration objects, and how often each is rendered; by
         # identity, since at ell = 2 bretagnolle's bound equals c(2, n)
-        concs, rendered = [], []
+        concs, rendered, renders = [], [], []
         real_conc, real_render = sweep.concentration, sweep.decimal_string
 
         def concentration(params):
             concs.append(real_conc(params))
             return concs[-1]
 
-        def decimal_string(fr):
-            rendered.extend(i for i, c in enumerate(concs) if fr is c)
-            return real_render(fr)
+        def decimal_string(x):
+            renders.append(x)
+            rendered.extend(i for i, c in enumerate(concs) if x is c)
+            return real_render(x)
 
         monkeypatch.setattr(sweep, "concentration", concentration)
         monkeypatch.setattr(sweep, "decimal_string", decimal_string)
@@ -838,6 +866,10 @@ class TestSweepEngine:
         report = run_sweep(SweepConfig((2, 4), (1, 3), checks, 128))
         assert len(report.cells) == 36
         assert sorted(rendered) == list(range(9))
+        # every report decimal goes through the renderer: per point, the
+        # concentration once, four interval ends for each of the three
+        # certified cells, and bretagnolle's bound and margin
+        assert len(renders) == 9 * (1 + 3 * 4 + 2)
 
     def test_one_bound_evaluation_per_certified_cell(self, monkeypatch):
         calls = {"evaluate": 0}
@@ -888,7 +920,7 @@ class TestSweepEngine:
         want = three_way(Verdict(left).outcome, Verdict(right).outcome)
         assert cell.verdict == want.value
         ends = min(left.lo, right.lo), min(left.hi, right.hi)
-        margins = tuple(decimal_string(d.as_fraction()) for d in ends)
+        margins = tuple(decimal_string(fraction_of(d)) for d in ends)
         assert (cell.margin_lo, cell.margin_hi) == margins
 
 
@@ -979,6 +1011,18 @@ class TestAsymptoticsCommand:
 
     def test_bad_list(self, capsys):
         assert main(["asymptotics", "--ell", "2", "--n-list", "1,x"]) == 2
+
+    def test_out_without_a_file_name_is_refused(self, tmp_path, capsys, monkeypatch):
+        def refuse(params):
+            raise AssertionError("table computed")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "concentration", refuse)
+        assert main(["asymptotics", "--ell", "2", "--n-list", "5", "--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --out must end in a file name, got ''\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestReportCommand:

@@ -266,17 +266,17 @@ class TestPairConcentration:
         [(3, 1, Fraction(2, 3)), (3, 2, Fraction(5, 9)), (2, 2, Fraction(3, 4))],
     )
     def test_values(self, ell, n, expected):
-        assert pair_concentration(LatticeParams(ell, n)) == expected
+        assert pair_concentration(power(LatticeParams(ell, n))) == expected
 
     def test_point_mass(self):
-        assert pair_concentration(LatticeParams(1, 3)) == 1
+        assert pair_concentration(power(LatticeParams(1, 3))) == 1
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_exhaustive_scan_matches(self, n):
         params = LatticeParams(3, n)
         d = power(params)
         pairs = [d.pmf(k) + d.pmf(k + 1) for k in range(-1, params.top + 1)]
-        assert pair_concentration(params) == max(pairs)
+        assert pair_concentration(d) == max(pairs)
 
 
 class TestValidation:
@@ -371,8 +371,8 @@ class TestPowerProperties:
         denom = params.ell**params.n
         top = params.top
         if top == 0:  # the point mass has no pair
-            assert pair_concentration(params) == Fraction(nums[0], denom)
+            assert pair_concentration(power(params)) == Fraction(nums[0], denom)
             return
         pairs = [nums[k] + nums[k + 1] for k in range(top)]
-        assert pair_concentration(params) == Fraction(max(pairs), denom)
+        assert pair_concentration(power(params)) == Fraction(max(pairs), denom)
         assert pairs[(top - 1) // 2] == max(pairs)

@@ -31,6 +31,8 @@ from uniconc.sweep import (
     write_report_json,
 )
 
+from test_certify import fraction_of
+
 
 def whole_csv(report: SweepReport) -> str:
     """The CSV report as one string, built row by row in a StringIO."""
@@ -179,7 +181,7 @@ class TestCellStorage:
     @example(Interval(Dyadic(-5, -1), Dyadic(-3, -2)))
     def test_ends_that_render_alike_share_one_string(self, iv):
         lo, hi = sweep._interval_strings(iv)
-        assert (lo, hi) == tuple(decimal_string(d.as_fraction()) for d in (iv.lo, iv.hi))
+        assert (lo, hi) == tuple(decimal_string(fraction_of(d)) for d in (iv.lo, iv.hi))
         assert (lo is hi) == (lo == hi)
 
     def test_checks_of_one_point_share_the_central_strings(self):

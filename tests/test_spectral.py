@@ -149,7 +149,7 @@ class TestSplitIntegrals:
 
     def test_degenerate_outer_interval(self):
         _, outer = split_integrals(2, 1, 1e-11)
-        assert outer == QuadratureResult(0.0, 0.0, 0)
+        assert outer == QuadratureResult(0.0, 0.0)
 
     @pytest.mark.parametrize("ell", [3, 5, 8])
     @pytest.mark.parametrize("n", [1, 2, 7, 12])
