@@ -98,12 +98,18 @@ def bessel_G(lam, precision_bits: int) -> Interval:
     _check_precision(precision_bits)
     if lam < 0:
         raise ParameterError(f"lambda must be >= 0, got {lam}")
-    p, q = lam.numerator, lam.denominator
     bits = precision_bits + _GUARD_BITS
-    one = 1 << bits
     ends = []
     for up in (False, True):
-        i01 = _series(lambda j: (p, 2 * q * ((j + 1) // 2)), one, up)
-        e = _series(lambda j: (p, q * j), one, not up)
+        i01, e = _bessel_chains(lam.numerator, lam.denominator, bits, up)
         ends.append(_round_ratio(i01, e, bits, up))
     return Interval(*ends)
+
+
+def _bessel_chains(p: int, q: int, bits: int, up: bool) -> tuple[int, int]:
+    """The two chains of one end of G(p/q), each scaled by 2**bits: I0 + I1
+    rounded up when ``up``, else down, and exp rounded the other way."""
+    one = 1 << bits
+    i01 = _series(lambda j: (p, 2 * q * ((j + 1) // 2)), one, up)
+    e = _series(lambda j: (p, q * j), one, not up)
+    return i01, e

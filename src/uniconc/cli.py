@@ -208,21 +208,25 @@ def _cmd_conc(args) -> int:
     return EXIT_OK
 
 
-def _check_out(path: str | None) -> None:
-    """Refuse, before any work, an output path whose last component is
-    empty, . or ..: no file could be written there, and ``report``, which
-    appends its suffixes to the text, would write rr/.csv for rr/.  No path
-    and - mean stdout."""
-    if path not in (None, "-") and os.path.basename(path) in ("", ".", ".."):
-        raise ParameterError(f"--out must end in a file name, got {path!r}")
+def _out_paths(text: str | None, suffixes: tuple[str, ...] = ("",)) -> tuple[Path | None, ...]:
+    """What ``--out`` names, by one rule, decided before any work: stdout,
+    ``(None,)``, for no path or for - with one output; else one file per
+    suffix appended to the text, in a directory made here.  A last component
+    "", . or .., or - for two files, is refused."""
+    if text is None or (text == "-" and len(suffixes) == 1):
+        return (None,)
+    if text == "-" or os.path.basename(text) in ("", ".", ".."):
+        raise ParameterError(f"--out must end in a file name, got {text!r}")
+    paths = tuple(Path(text + suffix) for suffix in suffixes)
+    paths[0].parent.mkdir(parents=True, exist_ok=True)
+    return paths
 
 
 @contextmanager
-def _output(path: str | Path | None):
-    """The text stream an output goes to: ``sys.stdout`` as it is at the
-    call, for no path or -, else the file, written as UTF-8 with every
-    newline as given and closed on exit."""
-    if path is None or path == "-":
+def _output(path: Path | None):
+    """The text stream an output goes to: ``sys.stdout`` as it is at the call
+    for no path, else the file, as UTF-8 with newlines as given, closed on exit."""
+    if path is None:
         yield sys.stdout
         return
     with open(path, "w", encoding="utf-8", newline="") as out:
@@ -240,26 +244,28 @@ def _summary_line(report: SweepReport) -> str:
 def _cmd_verify(args) -> int:
     given = _read_config_file(args.config) if args.config else {}
     given.update(_flags(args))
-    _check_out(given.get("out"))
-    report = run_sweep(_sweep_config(given))
-    write = write_report_json if report.config.output_format == "json" else write_report_csv
-    with _output(given.get("out")) as stream:
+    config = _sweep_config(given)
+    (out,) = _out_paths(given.get("out"))
+    report = run_sweep(config)
+    write = write_report_json if config.output_format == "json" else write_report_csv
+    with _output(out) as stream:
         write(report, stream)
     print(_summary_line(report), file=sys.stderr)
     return EXIT_OK if report.summary.clean else EXIT_VERIFICATION
 
 
 def _cmd_asymptotics(args) -> int:
-    _check_out(args.out)
     try:
         n_list = [int(part) for part in args.n_list.split(",") if part.strip()]
     except ValueError:
         raise ParameterError(f"bad --n-list {args.n_list!r}") from None
     if not n_list:
         raise ParameterError("--n-list must name at least one power")
+    points = [LatticeParams(args.ell, n) for n in n_list]
+    (out,) = _out_paths(args.out)
     rows = []
-    for n in n_list:
-        c = concentration(LatticeParams(args.ell, n))
+    for point in points:
+        n, c = point.n, concentration(point)
         rows.append(
             (
                 n,
@@ -275,16 +281,15 @@ def _cmd_asymptotics(args) -> int:
         header = f"{'n':>8}  {'concentration':<34}{'ratio':<20}{'sup_deviation'}"
         lines = [header]
         lines += [f"{n:>8}  {c:<34}{r:<20}{s}" for n, c, r, s in rows]
-    with _output(args.out) as out:
-        out.write("\n".join(lines) + "\n")
+    with _output(out) as stream:
+        stream.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
-    _check_out(args.out)
-    report = run_sweep(_sweep_config(_flags(args), checks=CHECKS))
-    csv_path, json_path = Path(f"{args.out}.csv"), Path(f"{args.out}.json")
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
+    config = _sweep_config(_flags(args), checks=CHECKS)
+    csv_path, json_path = _out_paths(args.out, (".csv", ".json"))
+    report = run_sweep(config)
     for path, write in ((csv_path, write_report_csv), (json_path, write_report_json)):
         with _output(path) as out:
             write(report, out)

@@ -5,10 +5,11 @@ from math import comb
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uniconc.bounds import (
+    _bessel_chains,
     bessel_G,
     bessel_chain_expr,
     corollary_bound_expr,
@@ -251,6 +252,45 @@ class TestBesselG:
     )
     def test_encloses_reference_at_any_rational(self, lam, bits):
         assert contains(bessel_G(lam, bits), self.reference(lam, bits))
+
+
+def exact_sum_enclosure(ratio, bits: int) -> tuple[Fraction, Fraction]:
+    """[S, S + tail] around 2**bits * sum_j t_j, where t_0 = 1 and t_j =
+    t_(j-1) * ratio(j), for ratios that never rise with j.  S is the exact
+    partial sum up to a term below 2**-64 whose next ratio r is below 1/2;
+    every later ratio is at most r, so the series' own geometric tail after
+    that term t is at most t * r / (1 - r)."""
+    total = term = Fraction(1 << bits)
+    j = 1
+    while True:
+        r = ratio(j)
+        if term < Fraction(1, 2**64) and r < Fraction(1, 2):
+            return total, total + term * r / (1 - r)
+        term *= r
+        total += term
+        j += 1
+
+
+class TestBesselChains:
+    """Each chain of bessel_G against exact Fraction partial sums: a chain
+    rounded down is at most the scaled sum, one rounded up at least it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(0, 400), q=st.integers(1, 6), bits=st.integers(64, 256))
+    @example(p=29, q=3, bits=256)
+    @example(p=1, q=1, bits=64)
+    def test_chains_bracket_the_exact_sums(self, p, q, bits):
+        # I0 + I1 = sum_j (lam/2)**j / (floor(j/2)! ceil(j/2)!) and exp(lam)
+        # = sum_j lam**j / j!, for lam = p/q
+        i01_lo, i01_hi = exact_sum_enclosure(lambda j: Fraction(p, 2 * q * ((j + 1) // 2)), bits)
+        exp_lo, exp_hi = exact_sum_enclosure(lambda j: Fraction(p, q * j), bits)
+        for up in (False, True):
+            i01, exp = _bessel_chains(p, q, bits, up)
+            # G's end takes I0 + I1 rounded its way over exp rounded the other
+            if up:
+                assert i01 >= i01_hi and exp <= exp_lo
+            else:
+                assert i01 <= i01_lo and exp >= exp_hi
 
 
 class TestBesselChainBound:

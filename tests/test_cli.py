@@ -628,9 +628,11 @@ class TestVerifyCommand:
         assert [p.name for p in tmp_path.iterdir()] == ([] if via == "flag" else ["sweep.cfg"])
 
     def test_io_error_exit_code(self, tmp_path):
+        # a missing directory is made (TestOutRule); under a regular file none can be
+        (tmp_path / "afile").write_text("")
         code = main(
             ["verify", "--ell-range", "2:2", "--n-range", "1:1", "--checks", "main",
-             "--out", str(tmp_path / "missing" / "r.csv")]
+             "--out", str(tmp_path / "afile" / "r.csv")]
         )
         assert code == 3
 
@@ -1063,9 +1065,10 @@ class TestReportCommand:
             "grid.v2.csv", "grid.v2.json", "grid.v3.csv", "grid.v3.json",
         ]
 
-    @pytest.mark.parametrize("out", ["rr/", "rr/.", "rr/..", ".", "..", ""])
+    @pytest.mark.parametrize("out", ["rr/", "rr/.", "rr/..", ".", "..", "", "-"])
     def test_out_without_a_file_name_is_refused(self, tmp_path, capsys, monkeypatch, out):
-        # the suffixes are appended to the text: rr/ would write rr/.csv
+        # the suffixes are appended to the text: rr/ would write rr/.csv; and
+        # - is stdout, which cannot take two files
         def refuse(config):
             raise AssertionError("sweep ran")
 
@@ -1105,6 +1108,73 @@ class TestReportCommand:
         assert lines.pop("bretagnolle") == "bretagnolle    cells=5      2 unexpected"
         for check, line in lines.items():
             assert line.endswith(" ok"), line
+
+
+class TestOutRule:
+    """One rule for what --out names, decided before any work: stdout, a
+    refusal (exit 2), or files in a directory made first (exit 3 if it
+    cannot be)."""
+
+    # each command on a tiny grid, and the work it must not reach on a refusal
+    ARGV = {
+        "verify": (["verify", "--ell-range", "2:2", "--n-range", "1:2"], "run_sweep"),
+        "asymptotics": (["asymptotics", "--ell", "2", "--n-list", "5"], "concentration"),
+        "report": (["report", "--ell-range", "2:2", "--n-range", "1:2"], "run_sweep"),
+    }
+
+    @staticmethod
+    def refuse_work(monkeypatch, name):
+        def refuse(*args):
+            raise AssertionError(f"{name} ran")
+
+        monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize("command, via", [
+        ("verify", "flag"), ("verify", "config"), ("asymptotics", "flag"),
+    ])
+    def test_missing_directory_is_made(self, tmp_path, capsys, monkeypatch, command, via):
+        monkeypatch.chdir(tmp_path)
+        argv = self.ARGV[command][0]
+        assert main([*argv, "--out", "-"]) == 0
+        streamed = capsys.readouterr().out
+        if via == "flag":
+            argv = [*argv, "--out", "nodir/r.csv"]
+        else:
+            Path("sweep.cfg").write_text("out=nodir/r.csv\n")
+            argv = [*argv, "--config", "sweep.cfg"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == ""
+        assert Path("nodir/r.csv").read_text(encoding="utf-8") == streamed
+
+    @pytest.mark.parametrize("command", ["verify", "asymptotics", "report"])
+    @pytest.mark.parametrize("under", ["afile/r.csv", "afile/sub/r.csv"])
+    def test_under_a_regular_file_fails_before_the_work(
+        self, tmp_path, capsys, monkeypatch, command, under
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("afile").write_text("kept")
+        argv, work = self.ARGV[command]
+        self.refuse_work(monkeypatch, work)
+        assert main([*argv, "--out", under]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("i/o error: ")
+        assert Path("afile").read_text() == "kept"
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+    @pytest.mark.parametrize("command, bad", [
+        ("verify", ["--ell-range", "2:"]),
+        ("asymptotics", ["--ell", "0"]),
+        ("report", ["--ell-range", "2:"]),
+    ])
+    def test_settings_are_checked_before_the_directory_is_made(
+        self, tmp_path, capsys, monkeypatch, command, bad
+    ):
+        # the last of a repeated flag wins
+        monkeypatch.chdir(tmp_path)
+        assert main([*self.ARGV[command][0], *bad, "--out", "newdir/r.csv"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestGoldenReport:
