@@ -17,12 +17,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from decimal import Decimal
 from itertools import groupby
 from pathlib import Path
 
-from .asymptotics import clt_ratio, local_clt_sup_dev
+from .asymptotics import _check as _check_table_point, clt_ratio, local_clt_sup_dev
 from .errors import ConvergenceError, ParameterError
 from .exactdist import (
     LatticeParams,
@@ -129,6 +129,8 @@ def _read_config_file(path: str) -> dict[str, str]:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ParameterError(f"unknown config key {key!r}; valid: {', '.join(_CONFIG_KEYS)}")
+        if key in values:
+            raise ParameterError(f"config key {key!r} is set twice")
         values[key] = value.strip()
     return values
 
@@ -208,29 +210,24 @@ def _cmd_conc(args) -> int:
     return EXIT_OK
 
 
-def _out_paths(text: str | None, suffixes: tuple[str, ...] = ("",)) -> tuple[Path | None, ...]:
-    """What ``--out`` names, by one rule, decided before any work: stdout,
-    ``(None,)``, for no path or for - with one output; else one file per
-    suffix appended to the text, in a directory made here.  A last component
-    "", . or .., or - for two files, is refused."""
+@contextmanager
+def _outputs(text: str | None, suffixes: tuple[str, ...] = ("",)):
+    """The text streams ``--out`` names, by one rule, opened before any work:
+    ``(sys.stdout,)`` as it is at the call for no path or for - with one
+    output; else one file per suffix appended to the text, in a directory made
+    first, as UTF-8 with newlines as given, all closed on exit.  A last
+    component "", . or .., or - for two files, is refused."""
     if text is None or (text == "-" and len(suffixes) == 1):
-        return (None,)
+        yield (sys.stdout,)
+        return
     if text == "-" or os.path.basename(text) in ("", ".", ".."):
         raise ParameterError(f"--out must end in a file name, got {text!r}")
-    paths = tuple(Path(text + suffix) for suffix in suffixes)
-    paths[0].parent.mkdir(parents=True, exist_ok=True)
-    return paths
-
-
-@contextmanager
-def _output(path: Path | None):
-    """The text stream an output goes to: ``sys.stdout`` as it is at the call
-    for no path, else the file, as UTF-8 with newlines as given, closed on exit."""
-    if path is None:
-        yield sys.stdout
-        return
-    with open(path, "w", encoding="utf-8", newline="") as out:
-        yield out
+    Path(text).parent.mkdir(parents=True, exist_ok=True)
+    with ExitStack() as stack:
+        yield tuple(
+            stack.enter_context(open(Path(text + suffix), "w", encoding="utf-8", newline=""))
+            for suffix in suffixes
+        )
 
 
 def _summary_line(report: SweepReport) -> str:
@@ -245,10 +242,9 @@ def _cmd_verify(args) -> int:
     given = _read_config_file(args.config) if args.config else {}
     given.update(_flags(args))
     config = _sweep_config(given)
-    (out,) = _out_paths(given.get("out"))
-    report = run_sweep(config)
     write = write_report_json if config.output_format == "json" else write_report_csv
-    with _output(out) as stream:
+    with _outputs(given.get("out")) as (stream,):
+        report = run_sweep(config)
         write(report, stream)
     print(_summary_line(report), file=sys.stderr)
     return EXIT_OK if report.summary.clean else EXIT_VERIFICATION
@@ -261,38 +257,31 @@ def _cmd_asymptotics(args) -> int:
         raise ParameterError(f"bad --n-list {args.n_list!r}") from None
     if not n_list:
         raise ParameterError("--n-list must name at least one power")
-    points = [LatticeParams(args.ell, n) for n in n_list]
-    (out,) = _out_paths(args.out)
-    rows = []
-    for point in points:
-        n, c = point.n, concentration(point)
-        rows.append(
-            (
-                n,
-                decimal_string(c),
-                f"{clt_ratio(args.ell, n, c):.15g}",
-                f"{local_clt_sup_dev(args.ell, n):.15g}",
-            )
-        )
-    if args.output_format == "csv":
-        lines = ["n,concentration,ratio,sup_deviation"]
-        lines += [f"{n},{c},{r},{s}" for n, c, r, s in rows]
-    else:
-        header = f"{'n':>8}  {'concentration':<34}{'ratio':<20}{'sup_deviation'}"
-        lines = [header]
-        lines += [f"{n:>8}  {c:<34}{r:<20}{s}" for n, c, r, s in rows]
-    with _output(out) as stream:
+    for n in n_list:
+        _check_table_point(args.ell, n)
+    with _outputs(args.out) as (stream,):
+        rows = []
+        for n in n_list:
+            c = concentration(LatticeParams(args.ell, n))
+            ratio, dev = clt_ratio(args.ell, n, c), local_clt_sup_dev(args.ell, n)
+            rows.append((n, decimal_string(c), f"{ratio:.15g}", f"{dev:.15g}"))
+        if args.output_format == "csv":
+            lines = ["n,concentration,ratio,sup_deviation"]
+            lines += [f"{n},{c},{r},{s}" for n, c, r, s in rows]
+        else:
+            header = f"{'n':>8}  {'concentration':<34}{'ratio':<20}{'sup_deviation'}"
+            lines = [header]
+            lines += [f"{n:>8}  {c:<34}{r:<20}{s}" for n, c, r, s in rows]
         stream.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
     config = _sweep_config(_flags(args), checks=CHECKS)
-    csv_path, json_path = _out_paths(args.out, (".csv", ".json"))
-    report = run_sweep(config)
-    for path, write in ((csv_path, write_report_csv), (json_path, write_report_json)):
-        with _output(path) as out:
-            write(report, out)
+    with _outputs(args.out, (".csv", ".json")) as (csv_out, json_out):
+        report = run_sweep(config)
+        write_report_csv(report, csv_out)
+        write_report_json(report, json_out)
     # the cells are sorted by check, and each check is summarized by the rule
     # that decides the whole report's exit code
     for check, cells in groupby(report.cells, key=lambda c: c.check):
@@ -300,7 +289,7 @@ def _cmd_report(args) -> int:
         status = "ok" if s.clean else f"{s.unexpected} unexpected"
         print(f"{check:<14} cells={s.cells:<6} {status}")
     print(_summary_line(report))
-    print(f"wrote {csv_path} and {json_path}")
+    print(f"wrote {csv_out.name} and {json_out.name}")
     return EXIT_OK if report.summary.clean else EXIT_VERIFICATION
 
 

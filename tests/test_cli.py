@@ -511,6 +511,20 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err == f"error: {self.BAD_SETTINGS[line]}\n"
 
+    def test_config_key_set_twice_exits_usage(self, tmp_path, capsys, monkeypatch):
+        # the last of a repeated flag wins, but a file that sets a key twice is
+        # refused before any work, as --checks main,main is
+        def refuse(config):
+            raise AssertionError("run_sweep ran")
+
+        monkeypatch.setattr(cli, "run_sweep", refuse)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("ell_range=2:2\nn_range=1:1\nchecks=main\nchecks=corollary\n")
+        assert main(["verify", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: config key 'checks' is set twice\n"
+
     def test_no_settings_sweeps_the_config_defaults(self, capsys):
         assert main(["verify"]) == 0
         assert capsys.readouterr().out == written(write_report_csv, run_sweep(SweepConfig()))
@@ -1111,9 +1125,9 @@ class TestReportCommand:
 
 
 class TestOutRule:
-    """One rule for what --out names, decided before any work: stdout, a
-    refusal (exit 2), or files in a directory made first (exit 3 if it
-    cannot be)."""
+    """One rule for what --out names, and every output opened before any work:
+    stdout, a refusal (exit 2), or files in a directory made first (exit 3 if
+    the directory cannot be made or a file cannot be opened)."""
 
     # each command on a tiny grid, and the work it must not reach on a refusal
     ARGV = {
@@ -1166,15 +1180,48 @@ class TestOutRule:
         ("verify", ["--ell-range", "2:"]),
         ("asymptotics", ["--ell", "0"]),
         ("report", ["--ell-range", "2:"]),
+        # LatticeParams admits ell = 1; the table's own rule refuses it
+        ("asymptotics", ["--ell", "1"]),
     ])
     def test_settings_are_checked_before_the_directory_is_made(
         self, tmp_path, capsys, monkeypatch, command, bad
     ):
         # the last of a repeated flag wins
         monkeypatch.chdir(tmp_path)
-        assert main([*self.ARGV[command][0], *bad, "--out", "newdir/r.csv"]) == 2
+        argv, work = self.ARGV[command]
+        self.refuse_work(monkeypatch, work)
+        assert main([*argv, *bad, "--out", "newdir/r.csv"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, out, directory, left", [
+        ("verify", "adir", "adir", ["adir"]),
+        ("asymptotics", "adir", "adir", ["adir"]),
+        ("report", "b", "b.csv", ["b.csv"]),
+        # b.csv is opened, and so made empty, before b.json is refused
+        ("report", "b", "b.json", ["b.csv", "b.json"]),
+    ])
+    def test_a_directory_fails_before_the_work(
+        self, tmp_path, capsys, monkeypatch, command, out, directory, left
+    ):
+        # every output is opened before any work, so the OS refuses a
+        # directory before the sweep or the table starts
+        monkeypatch.chdir(tmp_path)
+        Path(directory).mkdir()
+        argv, work = self.ARGV[command]
+        self.refuse_work(monkeypatch, work)
+        assert main([*argv, "--out", out]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("i/o error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == left
+        assert all(Path(name).is_dir() or Path(name).read_text() == "" for name in left)
+
+    def test_report_names_the_files_it_wrote(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main([*self.ARGV["report"][0], "--out", "./sub/r"]) == 0
+        assert capsys.readouterr().out.endswith("wrote sub/r.csv and sub/r.json\n")
+        assert sorted(p.name for p in Path("sub").iterdir()) == ["r.csv", "r.json"]
 
 
 class TestGoldenReport:
