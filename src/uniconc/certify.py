@@ -142,28 +142,43 @@ def _round_sum(x, y, sign: int, bits: int, up: bool) -> Dyadic:
 # directed series and pi
 # ---------------------------------------------------------------------------
 
-def _series(ratio, first: int, up: bool) -> int:
-    """sum_m t_m in fixed point, with t_0 = ``first`` and t_m = t_{m-1} *
+def _terms(ratio, first: int, up: bool):
+    """The directed term stepper: yields t_0 = ``first`` and t_m = t_{m-1} *
     num / den for ``(num, den) = ratio(m)``, every term rounded down, or up
     when ``up``, by ``_div``.
 
     Contract: every num >= 0 and den > 0, so every term is nonnegative, and
     once a ratio is below 1/2 every later one is too.  ``ratio`` is called
-    once per step.  Summation stops once t_m <= 1 and the next ratio is
-    below 1/2; the tail is then geometric and below t_m.  The lower chain
-    drops it, and floors only lower; the upper chain ceils, which only
-    raises, and adds 2*t_m.
+    once per step.  The stepper stops after t_m (m >= 1) once t_m is 0, or
+    once t_m <= 1 and the next ratio is below 1/2.  Floors only lower each
+    term and ceils only raise it, so a lower chain's terms are at most the
+    exact ones and an upper chain's at least.  After a zero term every
+    later one is zero, on the upper chain exactly, and ``ratio`` is not
+    read past it.  Otherwise every later exact term is below half the one
+    before, so the exact tail after t_m sums to less than t_m.
     """
-    total = term = first
+    term = first
+    yield term
     num, den = ratio(1)
     m = 1
     while True:
         term = _div(term * num, den, up)
-        total += term
+        yield term
+        if term == 0:
+            return
         m += 1
         num, den = ratio(m)
         if term <= 1 and 2 * num < den:
-            return total + 2 * term if up else total
+            return
+
+
+def _series(ratio, first: int, up: bool) -> int:
+    """sum_m t_m of ``_terms(ratio, first, up)``: the lower chain drops the
+    tail, and the upper chain adds 2*t_m for it."""
+    total = 0
+    for term in _terms(ratio, first, up):
+        total += term
+    return total + 2 * term if up else total
 
 
 def _arctan_recip(q: int, bits: int, up: bool) -> int:

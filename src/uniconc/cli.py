@@ -190,16 +190,20 @@ def _cmd_pmf(args) -> int:
             print(f"{value.numerator * (denom // value.denominator)}/{denom} = {value}")
         return EXIT_OK
 
-    if args.method == "demoivre":
-        # unreduced numerators over ell**n, as the --k branch prints them
-        values = (de_moivre_pmf(params, k) for k in range(params.top + 1))
-        nums = (v.numerator * (denom // v.denominator) for v in values)
-    else:
-        nums = power(params).numerators
     # the denominator is converted to text once, not once per line
     tail = f"/{denom}"
-    for k, num in enumerate(nums):
-        print(f"{k} {num}{tail}")
+    top = params.top
+    if args.method == "demoivre":
+        # unreduced numerators over ell**n, as the --k branch prints them
+        for k in range(top + 1):
+            v = de_moivre_pmf(params, k)
+            print(f"{k} {v.numerator * (denom // v.denominator)}{tail}")
+        return EXIT_OK
+    # the pmf is symmetric, so line k > top/2 reuses the text of line top - k
+    nums, write = power(params).numerators, sys.stdout.write
+    lower = [f"{nums[k]}{tail}\n" for k in range(top // 2 + 1)]
+    for k, text in enumerate(lower + lower[: (top + 1) // 2][::-1]):
+        write(f"{k} {text}")
     return EXIT_OK
 
 

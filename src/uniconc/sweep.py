@@ -409,9 +409,17 @@ def _pool_size(requested: int, cpus: int | None, units: int) -> int:
     return max(1, min(requested, cpus or 1, units))
 
 
+def _usable_cpus() -> int | None:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else the host's count, which may be None."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
 def run_sweep(config: SweepConfig) -> SweepReport:
     tasks = _tasks(config)
-    workers = _pool_size(config.parallelism, os.cpu_count(), len(tasks))
+    workers = _pool_size(config.parallelism, _usable_cpus(), len(tasks))
     # tasks run in (ell, n) order and both maps return points in task order,
     # so each check's list fills in (ell, n) order, and joining the lists in
     # check order gives the report's (check, ell, n) order without a sort

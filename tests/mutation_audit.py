@@ -2,11 +2,11 @@
 by a test.
 
 Each site in ``SITES`` is one rounding direction in ``certify.py`` or
-``bounds.py``: an ``up`` or ``not up`` argument, the choice of pi's end, or
-the series' tail term, given as (file, exact line text, replacement).  For
-each site in turn the audit copies ``src`` to a temporary directory,
-applies that one replacement, and runs the tests in ``SUBSET`` with ``-x``
-against the copy, one run after another.  A mutant that passes them
+``bounds.py``: an ``up`` or ``not up`` argument, the choice of pi's end or
+of a sum's direction, or a tail term, given as (file, exact line text,
+replacement).  For each site in turn the audit copies ``src`` to a
+temporary directory, applies that one replacement, and runs the tests in
+``SUBSET`` with ``-x`` against the copy, one run after another.  A mutant that passes them
 survives.
 
 The audit fails if any mutant survives, if a site's text is not found
@@ -58,10 +58,11 @@ SITES = [
     (_CERTIFY,
      "return _round_ratio(a * d + sign * c * b, b * d, bits, up)",
      "return _round_ratio(a * d + sign * c * b, b * d, bits, not up)"),
-    # _series: each term, and the tail term on the upper chain only
+    # _terms, the stepper: each term
     (_CERTIFY,
      "term = _div(term * num, den, up)",
      "term = _div(term * num, den, not up)"),
+    # _series: the tail term on the upper chain only
     (_CERTIFY,
      "return total + 2 * term if up else total",
      "return total + 2 * term if not up else total"),
@@ -96,16 +97,27 @@ SITES = [
     (_CERTIFY,
      "_round_sum(rhs_lo, lhs_hi, -1, bits, False), _round_sum(rhs_hi, lhs_lo, -1, bits, True)",
      "_round_sum(rhs_lo, lhs_hi, -1, bits, False), _round_sum(rhs_hi, lhs_lo, -1, bits, False)"),
-    # bessel_G: the I0 + I1 chain, the exp chain, and their quotient
+    # bessel_G: S0 taken the opposite way from S1, and the quotient
     (_BOUNDS,
-     "i01 = _series(lambda j: (p, 2 * q * ((j + 1) // 2)), one, up)",
-     "i01 = _series(lambda j: (p, 2 * q * ((j + 1) // 2)), one, not up)"),
+     "s1, s0 = sums[up][1], sums[not up][0]",
+     "s1, s0 = sums[up][1], sums[up][0]"),
     (_BOUNDS,
-     "e = _series(lambda j: (p, q * j), one, not up)",
-     "e = _series(lambda j: (p, q * j), one, up)"),
+     "ends.append(_round_ratio(s1, s0 * s0, bits, up))",
+     "ends.append(_round_ratio(s1, s0 * s0, bits, not up))"),
+    # _skellam_sums: the upward and the downward chain
     (_BOUNDS,
-     "ends.append(_round_ratio(i01, e, bits, up))",
-     "ends.append(_round_ratio(i01, e, bits, not up))"),
+     "up0, up1 = _side_sums(lambda m: (p, 2 * q * (k0 + m)), one, up)",
+     "up0, up1 = _side_sums(lambda m: (p, 2 * q * (k0 + m)), one, not up)"),
+    (_BOUNDS,
+     "down0, down1 = _side_sums(lambda m: (2 * q * (k0 + 1 - m), p), one, up) if k0 else (0, 0)",
+     "down0, down1 = _side_sums(lambda m: (2 * q * (k0 + 1 - m), p), one, not up) if k0 else (0, 0)"),
+    # _side_sums: the tail terms of S0 and S1, on the upper chain only
+    (_BOUNDS,
+     "s0 + 2 * prev if up else s0",
+     "s0 + 2 * prev if not up else s0"),
+    (_BOUNDS,
+     "s1 + 2 * prev * prev if up else s1",
+     "s1 + 2 * prev * prev if not up else s1"),
 ]
 
 

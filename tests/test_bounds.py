@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uniconc.bounds import (
-    _bessel_chains,
+    _side_sums,
+    _skellam_sums,
     bessel_G,
     bessel_chain_expr,
     corollary_bound_expr,
@@ -17,7 +18,7 @@ from uniconc.bounds import (
     main_bound_expr,
     wallis_bound_expr,
 )
-from uniconc.certify import Interval, Outcome, evaluate, verdict_between
+from uniconc.certify import _GUARD_BITS, Interval, Outcome, evaluate, verdict_between
 from uniconc.errors import ParameterError
 
 from test_certify import fraction_of
@@ -219,6 +220,10 @@ class TestBesselG:
 
     @settings(max_examples=60, deadline=None)
     @given(p=st.integers(0, 6000), q=st.integers(1, 3), bits=st.integers(64, 512))
+    @example(p=13325, q=1, bits=256)
+    @example(p=20000, q=1, bits=256)
+    @example(p=1, q=3, bits=256)  # k0 = 0: no downward side
+    @example(p=8, q=1, bits=64)  # mu = 4: the first downward ratio is exactly 1
     def test_encloses_reference_with_relative_width(self, p, q, bits):
         g = bessel_G(Fraction(p, q), bits)
         # the reference is built from mpmath alone, 256 bits finer
@@ -254,43 +259,75 @@ class TestBesselG:
         assert contains(bessel_G(lam, bits), self.reference(lam, bits))
 
 
-def exact_sum_enclosure(ratio, bits: int) -> tuple[Fraction, Fraction]:
-    """[S, S + tail] around 2**bits * sum_j t_j, where t_0 = 1 and t_j =
-    t_(j-1) * ratio(j), for ratios that never rise with j.  S is the exact
-    partial sum up to a term below 2**-64 whose next ratio r is below 1/2;
-    every later ratio is at most r, so the series' own geometric tail after
-    that term t is at most t * r / (1 - r)."""
-    total = term = Fraction(1 << bits)
-    j = 1
+def exact_side_enclosure(ratio, bits: int) -> tuple[tuple[Fraction, Fraction], ...]:
+    """[S, S + tail] around 2**bits * sum_{m>=1} t_m and around 4**bits *
+    sum_{m>=1} t_m (t_(m-1) + t_m), where t_0 = 1 and t_m = t_(m-1) *
+    ratio(m), for ratios that never rise with m: one side of the mode, as
+    ``_side_sums`` sums it.  S is the exact partial sum up to a zero term,
+    after which the tails are zero, or up to a term t below 2**-64 whose
+    next ratio r is below 1/2; every later ratio is at most r, so the later
+    terms are at most t*r**i, and the tails at most t*r/(1-r) and
+    t*t*r/(1-r)."""
+    prev = Fraction(1 << bits)
+    s0 = s1 = Fraction(0)
+    m = 1
     while True:
-        r = ratio(j)
+        term = prev * ratio(m)
+        s0 += term
+        s1 += term * (prev + term)
+        if term == 0:
+            return (s0, s0), (s1, s1)
+        m += 1
+        r = ratio(m)
         if term < Fraction(1, 2**64) and r < Fraction(1, 2):
-            return total, total + term * r / (1 - r)
-        term *= r
-        total += term
-        j += 1
+            g = r / (1 - r)
+            return (s0, s0 + term * g), (s1, s1 + term * term * g)
+        prev = term
 
 
 class TestBesselChains:
     """Each chain of bessel_G against exact Fraction partial sums: a chain
     rounded down is at most the scaled sum, one rounded up at least it."""
 
+    @staticmethod
+    def assert_brackets(got, enclosure, up):
+        for value, (lo, hi) in zip(got, enclosure):
+            assert value >= hi if up else value <= lo
+
     @settings(max_examples=60, deadline=None)
-    @given(p=st.integers(0, 400), q=st.integers(1, 6), bits=st.integers(64, 256))
+    @given(p=st.integers(0, 400), q=st.integers(1, 6), bits=st.integers(0, 256))
     @example(p=29, q=3, bits=256)
-    @example(p=1, q=1, bits=64)
+    @example(p=1, q=1, bits=1)  # both tails exceed every rounding gain
+    @example(p=8, q=1, bits=64)  # an integer mu
+    @example(p=1, q=3, bits=64)  # k0 = 0
     def test_chains_bracket_the_exact_sums(self, p, q, bits):
-        # I0 + I1 = sum_j (lam/2)**j / (floor(j/2)! ceil(j/2)!) and exp(lam)
-        # = sum_j lam**j / j!, for lam = p/q
-        i01_lo, i01_hi = exact_sum_enclosure(lambda j: Fraction(p, 2 * q * ((j + 1) // 2)), bits)
-        exp_lo, exp_hi = exact_sum_enclosure(lambda j: Fraction(p, q * j), bits)
+        mu, k0, one = Fraction(p, 2 * q), p // (2 * q), 1 << bits
+        # upward from the mode by mu/(k+1), downward by k/mu
+        sides = [(lambda m: mu / (k0 + m), lambda m: (p, 2 * q * (k0 + m)))]
+        if k0:
+            sides.append((lambda m: (k0 + 1 - m) / mu, lambda m: (2 * q * (k0 + 1 - m), p)))
+        exact = [exact_side_enclosure(r, bits) for r, _ in sides]
+        # S0 = V_k0 + both sides' first sums and S1 = V_k0**2 + their second
+        totals = [
+            tuple(sum(ends) for ends in zip(base, *(e[i] for e in exact)))
+            for i, base in enumerate([(one, one), (one * one, one * one)])
+        ]
         for up in (False, True):
-            i01, exp = _bessel_chains(p, q, bits, up)
-            # G's end takes I0 + I1 rounded its way over exp rounded the other
-            if up:
-                assert i01 >= i01_hi and exp <= exp_lo
-            else:
-                assert i01 <= i01_lo and exp >= exp_hi
+            for (_, ratio), enclosure in zip(sides, exact):
+                self.assert_brackets(_side_sums(ratio, one, up), enclosure, up)
+            self.assert_brackets(_skellam_sums(p, q, bits, up), totals, up)
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(0, 2000), q=st.integers(1, 6), bits=st.integers(64, 256))
+    @example(p=0, q=1, bits=64)
+    def test_ends_hold_the_quotients_of_the_chains(self, p, q, bits):
+        # the lower end is S1 rounded down over S0**2 rounded up, and the
+        # upper end the mirror
+        g = bessel_G(Fraction(p, q), bits)
+        w = bits + _GUARD_BITS
+        (lo0, lo1), (hi0, hi1) = (_skellam_sums(p, q, w, up) for up in (False, True))
+        assert fraction_of(g.lo) <= Fraction(lo1, hi0 * hi0)
+        assert Fraction(hi1, lo0 * lo0) <= fraction_of(g.hi)
 
 
 class TestBesselChainBound:

@@ -26,6 +26,7 @@ from uniconc.certify import (
     _round_ratio,
     _round_sum,
     _series,
+    _terms,
     _sqrt_ratio,
 )
 from uniconc.errors import DomainError, ExpressionError, ParameterError
@@ -276,7 +277,9 @@ class TestSqrt:
 
 
 class TestSeriesChains:
-    """The one directed series summer, which bessel_G and pi sum through."""
+    """The directed term stepper and the series summed from it: pi sums
+    through ``_series``, and bessel_G steps its Poisson weights by
+    ``_terms``."""
 
     @pytest.mark.parametrize("k", [1, 2, 5, 40])
     def test_exact_geometric_tail(self, k):
@@ -310,6 +313,19 @@ class TestSeriesChains:
         assert lower < k + Fraction(4, 3) < upper
         # one call per step: the pair read for the stop test makes the next term
         assert seen == [*range(1, k + 2)] * 2
+
+    def test_stop_at_a_zero_term(self):
+        # the third ratio is 0, and the ratio past the zero term it makes,
+        # which would be negative here, is never read
+        seen = []
+
+        def ratio(m):
+            seen.append(m)
+            return (3 - m, 1)
+
+        assert list(_terms(ratio, 5, False)) == list(_terms(ratio, 5, True)) == [5, 10, 10, 0]
+        assert seen == [1, 2, 3] * 2
+        assert _series(ratio, 5, False) == _series(ratio, 5, True) == 25
 
     @settings(max_examples=200, deadline=None)
     @given(q=st.integers(2, 400), w=st.integers(0, 300))

@@ -190,9 +190,10 @@ class TestPmfCommand:
         assert capsys.readouterr().out == "3/9 = 1/3\n"
 
     def test_exact_whole_support(self, capsys):
-        assert main(["pmf", "--ell", "2", "--n", "4", "--method", "exact"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines == ["0 1/16", "1 4/16", "2 6/16", "3 4/16", "4 1/16"]
+        # an odd and an even number of lines, the upper half reusing the lower
+        for n, nums in ((4, (1, 4, 6, 4, 1)), (3, (1, 3, 3, 1)), (1, (1, 1))):
+            assert main(["pmf", "--ell", "2", "--n", str(n), "--method", "exact"]) == 0
+            assert capsys.readouterr().out == "".join(f"{k} {v}/{2**n}\n" for k, v in enumerate(nums))
 
     def test_outside_support(self, capsys, monkeypatch):
         # the value is 0 by the support alone; no pmf is built
@@ -733,7 +734,8 @@ class TestSweepEngine:
 
         # run_sweep imports the pool when it needs one, so patch its home
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawn_pool)
-        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+        # two usable CPUs, by the affinity set the pool is sized from
+        monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         limit = int_str_limit()
         argv = ["verify", "--ell-range", "10:10", "--n-range", "4400:4401", "--parallelism", "2",
                 "--format", "json"]
@@ -805,6 +807,17 @@ class TestSweepEngine:
     )
     def test_pool_size_clamp(self, requested, cpus, units, expected):
         assert sweep._pool_size(requested, cpus, units) == expected
+
+    def test_one_cpu_affinity_runs_serially(self, monkeypatch):
+        # as under taskset -c 0 on a host with more CPUs: no pool starts
+        def no_pool(max_workers):
+            raise AssertionError(f"a pool of {max_workers} started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)
+        cfg = SweepConfig((2, 3), (1, 3), ("main",), 128, "csv", 2)
+        assert [(c.ell, c.n) for c in run_sweep(cfg).cells] == [(e, n) for e in (2, 3) for n in (1, 2, 3)]
 
     @pytest.mark.parametrize(
         "expected,verdict,mismatch",
