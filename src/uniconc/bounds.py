@@ -23,7 +23,6 @@ __all__ = [
     "wallis_bound_expr",
     "d_sequence_expr",
     "bessel_G",
-    "bessel_chain_expr",
 ]
 
 
@@ -66,12 +65,6 @@ def d_sequence_expr(n: int) -> RootBound:
     rational = Fraction(160 * n * n - 24 * n + 21, 160 * n * n)
     correction = Fraction(1, (n - 1) * 2 ** (n - 1)) if n % 2 == 0 else _ZERO
     return RootBound(rational, correction, _ONE, 0)
-
-
-def bessel_chain_expr(n: int) -> RootBound:
-    """sqrt(3/(pi*n)), the outer member of the adjacent-pair bound chain."""
-    check_int("n", n, 1)
-    return _pi_root(Fraction(3, n))
 
 
 # ---------------------------------------------------------------------------

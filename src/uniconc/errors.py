@@ -9,7 +9,7 @@ class ParameterError(ValueError):
 
 
 class DomainError(ValueError):
-    """A mathematical domain violation (negative radicand, out-of-range abscissa)."""
+    """A mathematical domain violation: a ``RootBound`` with a <= 0, b < 0 or r <= 0."""
 
 
 class ExpressionError(ValueError):

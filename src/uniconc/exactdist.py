@@ -170,8 +170,11 @@ def moments(d: ExactDensity) -> tuple[Fraction, Fraction]:
 
 
 def pair_concentration(d: ExactDensity) -> Fraction:
-    """Maximum probability of two adjacent points, max_k P({k, k+1}), exact."""
-    nums = d.numerators
+    """Maximum probability of two adjacent points, max_k P({k, k+1}), exact.
+    The pmf is symmetric about top/2 and unimodal (a convolution power of the
+    log-concave uniform law is log-concave), so the central pair {c, c+1},
+    c = floor(top/2), is the largest, and its two numerators are read."""
+    nums, c = d.numerators, d.params.top // 2
     # a one-point support (ell = 1) has no pair; its one point is the maximum
-    best = max((a + b for a, b in zip(nums, nums[1:])), default=nums[0])
+    best = nums[c] + nums[c + 1] if len(nums) > 1 else nums[0]
     return Fraction(best, d.denominator)

@@ -222,8 +222,8 @@ def _exact_strings(fr: Fraction) -> tuple[str, str]:
 class _Point:
     """One (ell, n) grid point.  Its concentration, the concentration's
     report strings, its full pmf, the report strings of the pmf's central
-    value and the sharp bound are each computed at most once, on first use,
-    and shared by every check of the point."""
+    value, the sharp bound and the variance are each computed at most once,
+    on first use, and shared by every check of the point."""
 
     def __init__(self, ell: int, n: int):
         self.ell, self.n = ell, n
@@ -249,6 +249,10 @@ class _Point:
     @cached_property
     def main_bound(self) -> RootBound:
         return bounds.main_bound_expr(self.ell, self.n)
+
+    @cached_property
+    def variance(self) -> Fraction:
+        return Fraction(self.n * (self.ell * self.ell - 1), 12)
 
 
 def _cell(
@@ -293,11 +297,11 @@ def _cell_wallis(p: _Point, prec: int) -> SweepCell:
 
 
 def _cell_bessel_chain(p: _Point, prec: int) -> SweepCell:
-    # only run on the three-point lattice (see _CHECK_TABLE)
-    n = p.n
-    pair = pair_concentration(p.pmf)
-    middle = bounds.bessel_G(Fraction(2 * n, 3), prec)
-    outer = evaluate(bounds.bessel_chain_expr(n), prec)
+    # pair < G(Var S_n) < 2 * main_bound, run on ell = 3 only (see
+    # _CHECK_TABLE); twice the sharp bound is the root of 4x its radicand
+    pair, main = pair_concentration(p.pmf), p.main_bound
+    middle = bounds.bessel_G(p.variance, prec)
+    outer = evaluate(RootBound(main.a, main.b, 4 * main.r, main.k), prec)
     left = verdict_between(pair, middle, prec).margin
     right = verdict_between(middle, outer, prec).margin
     # the chain's margin is the componentwise minimum of its links' margins:
@@ -339,9 +343,8 @@ def _cell_argmax(p: _Point, prec: int) -> SweepCell:
 
 
 def _cell_moments(p: _Point, prec: int) -> SweepCell:
-    ell, n = p.ell, p.n
     mean, var = moments(p.pmf)
-    ok = mean == Fraction(n * (ell - 1), 2) and var == Fraction(n * (ell * ell - 1), 12)
+    ok = mean == Fraction(p.n * (p.ell - 1), 2) and var == p.variance
     return _cell(p, "moments", _exact_strings(mean), "Holds" if ok else "Fails")
 
 

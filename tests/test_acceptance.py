@@ -17,12 +17,11 @@ import pytest
 from uniconc.asymptotics import clt_ratio, local_clt_sup_dev
 from uniconc.bounds import (
     bessel_G,
-    bessel_chain_expr,
     corollary_bound_expr,
     d_sequence_expr,
     wallis_bound_expr,
 )
-from uniconc.certify import Outcome, evaluate, verdict_between
+from uniconc.certify import Outcome, RootBound, evaluate, verdict_between
 from uniconc.exactdist import (
     LatticeParams,
     argmax_set,
@@ -135,7 +134,7 @@ def test_criterion_06_bessel_chain():
         middle = bessel_G(Fraction(2 * n, 3), PRECISION_BITS)
         width = fraction_of(middle.hi) - fraction_of(middle.lo)
         assert width <= fraction_of(middle.lo) / 2 ** (PRECISION_BITS - 2)
-        outer = evaluate(bessel_chain_expr(n), PRECISION_BITS)
+        outer = evaluate(RootBound(Fraction(1), Fraction(0), Fraction(3, n), 1), PRECISION_BITS)
         assert verdict_between(pair, middle, PRECISION_BITS).outcome is Outcome.HOLDS, n
         assert verdict_between(middle, outer, PRECISION_BITS).outcome is Outcome.HOLDS, n
     spot = bessel_G(Fraction(4, 3), PRECISION_BITS)

@@ -12,13 +12,12 @@ from uniconc.bounds import (
     _side_sums,
     _skellam_sums,
     bessel_G,
-    bessel_chain_expr,
     corollary_bound_expr,
     d_sequence_expr,
     main_bound_expr,
     wallis_bound_expr,
 )
-from uniconc.certify import _GUARD_BITS, Interval, Outcome, evaluate, verdict_between
+from uniconc.certify import _GUARD_BITS, Interval, Outcome, RootBound, evaluate, verdict_between
 from uniconc.errors import ParameterError
 
 from test_certify import fraction_of
@@ -36,6 +35,13 @@ def contains(iv: Interval, v: Fraction) -> bool:
 
 def width_of(iv: Interval) -> Fraction:
     return fraction_of(iv.hi) - fraction_of(iv.lo)
+
+
+def chain_outer_bound(n: int) -> RootBound:
+    """2 * main_bound_expr(3, n) = sqrt(3/(pi*n)), the outer end of the
+    adjacent-pair chain on the three-point lattice."""
+    m = main_bound_expr(3, n)
+    return RootBound(2 * m.a, 2 * m.b, m.r, m.k)
 
 
 def assert_encloses(iv, reference: float, width: float = 1e-15):
@@ -56,8 +62,6 @@ class TestBuilderValidation:
             (corollary_bound_expr, (2.0, 2)),
             (wallis_bound_expr, (True,)),
             (wallis_bound_expr, (1.0,)),
-            (bessel_chain_expr, (True,)),
-            (bessel_chain_expr, (Fraction(2),)),
             (d_sequence_expr, (True,)),
             (d_sequence_expr, (2.0,)),
             (d_sequence_expr, (0,)),
@@ -200,7 +204,7 @@ class TestBesselG:
 
     def test_large_argument_chain(self):
         g = bessel_G(Fraction(200, 3), 128)
-        outer = evaluate(bessel_chain_expr(100), 128)
+        outer = evaluate(chain_outer_bound(100), 128)
         assert verdict_between(g, outer, 128).outcome is Outcome.HOLDS
 
     def test_width_shrinks_from_128_to_512_bits(self):
@@ -332,9 +336,9 @@ class TestBesselChains:
 
 class TestBesselChainBound:
     def test_values(self):
-        assert_encloses(evaluate(bessel_chain_expr(1), 128), 0.9772050238058398)
-        assert_encloses(evaluate(bessel_chain_expr(3), 128), 0.5641895835477563)
-        b2 = evaluate(bessel_chain_expr(2), 128)
+        assert_encloses(evaluate(chain_outer_bound(1), 128), 0.9772050238058398)
+        assert_encloses(evaluate(chain_outer_bound(3), 128), 0.5641895835477563)
+        b2 = evaluate(chain_outer_bound(2), 128)
         assert_encloses(b2, 0.690988298942671)
         g = bessel_G(Fraction(4, 3), 128)
         assert verdict_between(g, b2, 128).outcome is Outcome.HOLDS

@@ -28,7 +28,8 @@ import uniconc.cli as cli
 import uniconc.exactdist as exactdist
 import uniconc.spectral as spectral
 import uniconc.sweep as sweep
-from uniconc.certify import Dyadic, Interval, Outcome, Verdict
+from uniconc.bounds import bessel_G
+from uniconc.certify import Dyadic, Interval, Outcome, RootBound, Verdict, evaluate, verdict_between
 from uniconc.cli import main
 from uniconc.errors import ConvergenceError, ParameterError
 from uniconc.exactdist import ExactDensity, LatticeParams, concentration, power
@@ -951,6 +952,29 @@ class TestSweepEngine:
         ends = min(left.lo, right.lo), min(left.hi, right.hi)
         margins = tuple(decimal_string(fraction_of(d)) for d in ends)
         assert (cell.margin_lo, cell.margin_hi) == margins
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 1500))
+    @example(n=1)
+    @example(n=1500)
+    def test_chain_at_ell_3_is_the_papers_statement(self, n):
+        """The general chain, pair < G(Var S_n) < 2 * main_bound, is at
+        ell = 3 the paper's pair < G(2n/3) < sqrt(3/(pi*n)), stated here by
+        hand, with the pair taken by a scan of every adjacent pair."""
+        prec = 256
+        nums = power(LatticeParams(3, n)).numerators
+        pair = Fraction(max(a + b for a, b in zip(nums, nums[1:])), 3**n)
+        middle = bessel_G(Fraction(2 * n, 3), prec)
+        outer = evaluate(RootBound(Fraction(1), Fraction(0), Fraction(3, n), 1), prec)
+        left = verdict_between(pair, middle, prec).margin
+        right = verdict_between(middle, outer, prec).margin
+        chain = Verdict(Interval(min(left.lo, right.lo), min(left.hi, right.hi)))
+        want = SweepCell(
+            3, n, "bessel_chain", decimal_string(pair), f"{pair.numerator}/{pair.denominator}",
+            *sweep._interval_strings(outer), chain.outcome.value,
+            *sweep._interval_strings(chain.margin), "holds",
+        )
+        assert sweep._cell_bessel_chain(sweep._Point(3, n), prec) == want
 
 
 grid_points = st.tuples(st.integers(min_value=2, max_value=12), st.integers(min_value=1, max_value=60))

@@ -278,6 +278,19 @@ class TestPairConcentration:
         pairs = [d.pmf(k) + d.pmf(k + 1) for k in range(-1, params.top + 1)]
         assert pair_concentration(d) == max(pairs)
 
+    @settings(max_examples=80, deadline=None)
+    @given(ell=st.integers(1, 16), n=st.integers(1, 40))
+    @example(ell=1, n=3)
+    @example(ell=2, n=1)
+    @example(ell=5, n=2)
+    @example(ell=40, n=3)
+    def test_central_pair_is_the_scan_maximum_for_every_ell(self, ell, n):
+        # the central read against every adjacent pair, both ends included
+        params = LatticeParams(ell, n)
+        d = power(params)
+        pairs = [d.pmf(k) + d.pmf(k + 1) for k in range(-1, params.top + 1)]
+        assert pair_concentration(d) == max(pairs)
+
 
 class TestValidation:
     def test_bad_params(self):
