@@ -19,6 +19,7 @@ import os
 import sys
 from contextlib import ExitStack, contextmanager
 from decimal import Decimal
+from functools import cache
 from itertools import groupby
 from pathlib import Path
 
@@ -36,7 +37,8 @@ from .sweep import (
     SweepConfig,
     SweepReport,
     SweepSummary,
-    _no_int_digit_limit,
+    _exact_strings,
+    _int_string,
     decimal_string,
     run_sweep,
     write_report_csv,
@@ -68,6 +70,9 @@ def _parse_int(key: str, value) -> int:
         raise ParameterError(f"{key} must be an integer, got {value!r}") from None
 
 
+# built on the first call, not at import, and then shared by every call:
+# parse_args reads the parser and never changes it
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uniconc",
@@ -175,6 +180,8 @@ def _cmd_pmf(args) -> int:
             print(f"{prefix}{value:.{places}f}")
         return EXIT_OK
 
+    # the denominator is converted to text once, not once per line
+    tail = f"/{_int_string(denom)}"
     if args.k is not None:
         if not 0 <= args.k <= params.top:
             value = 0
@@ -185,23 +192,23 @@ def _cmd_pmf(args) -> int:
         if value == 0:
             print("0")
         elif value.denominator == denom:
-            print(f"{value.numerator}/{value.denominator}")
+            print(f"{_int_string(value.numerator)}{tail}")
         else:
-            print(f"{value.numerator * (denom // value.denominator)}/{denom} = {value}")
+            unreduced = _int_string(value.numerator * (denom // value.denominator))
+            reduced = f"{_int_string(value.numerator)}/{_int_string(value.denominator)}"
+            print(f"{unreduced}{tail} = {reduced}")
         return EXIT_OK
 
-    # the denominator is converted to text once, not once per line
-    tail = f"/{denom}"
     top = params.top
     if args.method == "demoivre":
         # unreduced numerators over ell**n, as the --k branch prints them
         for k in range(top + 1):
             v = de_moivre_pmf(params, k)
-            print(f"{k} {v.numerator * (denom // v.denominator)}{tail}")
+            print(f"{k} {_int_string(v.numerator * (denom // v.denominator))}{tail}")
         return EXIT_OK
     # the pmf is symmetric, so line k > top/2 reuses the text of line top - k
     nums, write = power(params).numerators, sys.stdout.write
-    lower = [f"{nums[k]}{tail}\n" for k in range(top // 2 + 1)]
+    lower = [f"{_int_string(nums[k])}{tail}\n" for k in range(top // 2 + 1)]
     for k, text in enumerate(lower + lower[: (top + 1) // 2][::-1]):
         write(f"{k} {text}")
     return EXIT_OK
@@ -210,7 +217,8 @@ def _cmd_pmf(args) -> int:
 def _cmd_conc(args) -> int:
     params = LatticeParams(args.ell, args.n)
     value = pair_concentration(power(params)) if args.pair else concentration(params)
-    print(f"{value.numerator}/{value.denominator} = {decimal_string(value)}")
+    exact, fraction = _exact_strings(value)
+    print(f"{fraction} = {exact}")
     return EXIT_OK
 
 
@@ -307,24 +315,21 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse uses exit code 2 for usage errors
         return int(exc.code or 0)
-    # argv is parsed under the int-to-str digit limit; exact values are not
-    with _no_int_digit_limit():
-        try:
-            return _COMMANDS[args.command](args)
-        except ParameterError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except ConvergenceError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VERIFICATION
-        except OSError as exc:
-            print(f"i/o error: {exc}", file=sys.stderr)
-            return EXIT_IO
+    try:
+        return _COMMANDS[args.command](args)
+    except ParameterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

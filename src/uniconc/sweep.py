@@ -12,9 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-import sys
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
@@ -197,22 +195,20 @@ def _interval_strings(iv: Interval) -> tuple[str, str]:
     return (lo, lo) if lo == hi else (lo, hi)
 
 
-@contextmanager
-def _no_int_digit_limit():
-    """Lift the int-to-str digit limit, where the interpreter has one, for
-    the block: an exact value may run to any number of digits."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
-    set_limit(0)
+def _int_string(n: int) -> str:
+    """``str(n)`` at any number of digits.  Where the interpreter's int-to-str
+    limit refuses ``n``, decimal, which has no such limit, writes the same
+    digits; the limit itself, which is process-wide, is never read or set."""
     try:
-        yield
-    finally:
-        set_limit(limit)
+        return str(n)
+    except ValueError:
+        return f"{Decimal(n):f}"
 
 
 def _exact_strings(fr: Fraction) -> tuple[str, str]:
-    """The report's two renderings of an exact value: decimal, then p/q."""
-    return decimal_string(fr), f"{fr.numerator}/{fr.denominator}"
+    """The report's two renderings of an exact value: decimal, then p/q in
+    lowest terms, each at any number of digits."""
+    return decimal_string(fr), f"{_int_string(fr.numerator)}/{_int_string(fr.denominator)}"
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +385,7 @@ CHECKS = tuple(sorted(_CHECK_TABLE))
 def _run_point(task: tuple[int, int, tuple[str, ...], int]) -> list[SweepCell]:
     ell, n, checks, prec = task
     point = _Point(ell, n)
-    # lifted here, not by the caller, because a pool worker runs only this
-    with _no_int_digit_limit():
-        return [_CHECK_TABLE[check][0](point, prec) for check in checks]
+    return [_CHECK_TABLE[check][0](point, prec) for check in checks]
 
 
 def _tasks(config: SweepConfig) -> list[tuple[int, int, tuple[str, ...], int]]:

@@ -1,18 +1,22 @@
-"""Mutation audit: every directed rounding in the certified layer is guarded
-by a test.
+"""Mutation audit: every directed rounding in the certified layer, and every
+decision listed beside them, is guarded by a test.
 
 Each site in ``SITES`` is one rounding direction in ``certify.py`` or
 ``bounds.py``: an ``up`` or ``not up`` argument, the choice of pi's end or
 of a sum's direction, or a tail term, given as (file, exact line text,
-replacement).  For each site in turn the audit copies ``src`` to a
-temporary directory, applies that one replacement, and runs the tests in
-``SUBSET`` with ``-x`` against the copy, one run after another.  A mutant that passes them
-survives.
+replacement); the tests in ``SUBSET`` must kill it.  Each site in
+``DECISION_SITES`` is one other choice a verdict rests on, such as an
+``expected`` rule or a check's comparison, given as (file, exact line text,
+replacement, the test file that must kill it).  For each site in turn the
+audit copies ``src`` to a temporary directory, applies that one
+replacement, and runs the site's tests with ``-x`` against the copy, one
+run after another.  A mutant that passes them survives.
 
 The audit fails if any mutant survives, if a site's text is not found
-exactly once, or if the unmutated copy does not pass ``SUBSET``.  A
-survivor is a missing test: add the test that kills it, never drop the
-site.  A change that adds a directed rounding adds its site here.
+exactly once, or if the unmutated copy does not pass every site's tests.
+A survivor is a missing test: add the test that kills it, never drop the
+site.  A change that adds a directed rounding or a decision adds its site
+here.
 
 Run from the root of a checkout:
 
@@ -33,11 +37,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# the fast tests that kill every mutant below
+# the fast tests that kill every rounding mutant below
 SUBSET = ("tests/test_certify.py", "tests/test_bounds.py")
 
 _CERTIFY = "src/uniconc/certify.py"
 _BOUNDS = "src/uniconc/bounds.py"
+_SWEEP = "src/uniconc/sweep.py"
+_CLI_TESTS = "tests/test_cli.py"
 
 SITES = [
     # _round_ratio: the one quotient, at either sign of the exponent
@@ -120,6 +126,31 @@ SITES = [
      "s1 + 2 * prev * prev if not up else s1"),
 ]
 
+DECISION_SITES = [
+    # _cell_main: the paper's n = 2 reversal starts at ell = 5
+    (_SWEEP,
+     'expected = "reversed" if (p.n == 2 and p.ell >= 5) else "holds"',
+     'expected = "reversed" if (p.n == 2 and p.ell >= 6) else "holds"',
+     _CLI_TESTS),
+    # _cell_argmax: past n = 1 the central points are the only maxima
+    (_SWEEP,
+     "ok = central <= peak if p.n == 1 else peak == central",
+     "ok = central <= peak",
+     _CLI_TESTS),
+    # _cell_moments: the mean is compared as well as the variance
+    (_SWEEP,
+     "ok = mean == Fraction(p.n * (p.ell - 1), 2) and var == p.variance",
+     "ok = var == p.variance",
+     _CLI_TESTS),
+]
+
+
+def mutants() -> list[tuple[str, str, str, tuple[str, ...]]]:
+    """Every site of both lists as (file, text, replacement, the tests that
+    must kill it)."""
+    rounding = [(*site, SUBSET) for site in SITES]
+    return rounding + [(*site, (tests,)) for *site, tests in DECISION_SITES]
+
 
 # pytest under a hypothesis profile that draws the same examples on every
 # run, keeps no example database (one mutant's failure would steer the next
@@ -141,15 +172,15 @@ sys.exit(pytest.main(sys.argv[1:]))
 def missing_sites(root: Path) -> list[str]:
     """The sites whose text is not found exactly once in ``root``'s files."""
     bad = []
-    for path, text, _ in SITES:
+    for path, text, _, _ in mutants():
         count = (root / path).read_text(encoding="utf-8").count(text)
         if count != 1:
             bad.append(f"{path}: {text!r} found {count} times")
     return bad
 
 
-def run_subset(src: Path) -> bool:
-    """Whether ``SUBSET`` passes with the package imported from ``src``."""
+def run_subset(src: Path, tests: tuple[str, ...]) -> bool:
+    """Whether ``tests`` pass with the package imported from ``src``."""
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     where = subprocess.run(
         [sys.executable, "-c", "import uniconc; print(uniconc.__file__)"],
@@ -157,7 +188,7 @@ def run_subset(src: Path) -> bool:
     ).stdout
     if not Path(where.strip()).is_relative_to(src):
         raise RuntimeError(f"uniconc is imported from {where.strip()}, not from {src}")
-    cmd = [sys.executable, "-c", _PYTEST, "-x", "-q", "-p", "no:cacheprovider", *SUBSET]
+    cmd = [sys.executable, "-c", _PYTEST, "-x", "-q", "-p", "no:cacheprovider", *tests]
     return subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True).returncode == 0
 
 
@@ -167,26 +198,28 @@ def main() -> int:
         print("sites not found exactly once:", *bad, sep="\n  ")
         return 1
     start = time.perf_counter()
-    survivors = []
+    sites, survivors = mutants(), []
+    # every test file any site names, each once, in order
+    every = tuple(dict.fromkeys(test for *_, tests in sites for test in tests))
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src)
-        if not run_subset(src):
-            print(f"the unmutated copy fails {' '.join(SUBSET)}")
+        if not run_subset(src, every):
+            print(f"the unmutated copy fails {' '.join(every)}")
             return 1
         print(f"the unmutated copy passes in {time.perf_counter() - start:.1f}s")
-        for i, (path, text, replacement) in enumerate(SITES, 1):
+        for i, (path, text, replacement, tests) in enumerate(sites, 1):
             target = Path(tmp) / path
             original = target.read_text(encoding="utf-8")
             target.write_text(original.replace(text, replacement), encoding="utf-8")
             t = time.perf_counter()
-            killed = not run_subset(src)
+            killed = not run_subset(src, tests)
             target.write_text(original, encoding="utf-8")
             print(f"{i:2d} {'killed' if killed else 'SURVIVED'} {time.perf_counter() - t:5.1f}s"
                   f"  {path}: {replacement}")
             if not killed:
                 survivors.append(replacement)
-    print(f"{len(SITES) - len(survivors)} of {len(SITES)} mutants killed"
+    print(f"{len(sites) - len(survivors)} of {len(sites)} mutants killed"
           f" in {time.perf_counter() - start:.1f}s")
     return 1 if survivors else 0
 

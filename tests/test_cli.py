@@ -915,6 +915,23 @@ class TestSweepEngine:
             report = run_sweep(SweepConfig((2, 4), (1, 3), (check,), 128))
             assert report.cells and calls["evaluate"] == len(report.cells), check
 
+    def test_argmax_fails_on_a_flat_top(self, monkeypatch):
+        # symmetric about (3, 2)'s one central point, which is a maximum but
+        # not the only one
+        density = ExactDensity(LatticeParams(3, 2), (0, 3, 3, 3, 0))
+        monkeypatch.setattr(sweep._Point, "pmf", property(lambda point: density))
+        (cell,) = run_sweep(SweepConfig((3, 3), (2, 2), ("argmax",))).cells
+        assert (cell.verdict, cell.mismatch) == ("Fails", True)
+
+    def test_moments_fails_on_a_wrong_mean_with_the_right_variance(self, monkeypatch):
+        # half the mass at 0 and half at 2: the variance of four fair coins,
+        # 1, but the mean 1, not 2
+        density = ExactDensity(LatticeParams(2, 4), (8, 0, 8, 0, 0))
+        assert sweep.moments(density) == (1, 1)
+        monkeypatch.setattr(sweep._Point, "pmf", property(lambda point: density))
+        (cell,) = run_sweep(SweepConfig((2, 2), (4, 4), ("moments",))).cells
+        assert (cell.exact, cell.verdict, cell.mismatch) == ("1", "Fails", True)
+
     def test_summary_clean_logic(self):
         assert SweepSummary(5, 5, 0, 0, 0).clean
         assert not SweepSummary(5, 4, 1, 0, 1).clean
@@ -987,6 +1004,59 @@ def oracle_verdict(ell: int, n: int, nums=None) -> str:
     if nums is not None:
         point.pmf = ExactDensity(point.params, tuple(nums))
     return sweep._cell_oracle_equiv(point, 256).verdict
+
+
+@pytest.mark.skipif(int_str_limit() is None, reason="the interpreter has no int-to-str limit")
+class TestIntStrLimit:
+    """Exact values render at any size, and uniconc never sets the
+    interpreter's int-to-str limit, which is one for the whole process."""
+
+    # every command prints an integer past 640 digits, CPython's lowest limit,
+    # but asymptotics, which prints decimals only: 2**2200 has 663 digits
+    COMMANDS = {
+        "verify": ["verify", "--ell-range", "10:10", "--n-range", "4400:4401", "--format", "json"],
+        "report": ["report", "--ell-range", "2:2", "--n-range", "2200:2200", "--out", "{out}"],
+        "pmf point": ["pmf", "--ell", "2", "--n", "2200", "--k", "0"],
+        "pmf point, lowest terms": ["pmf", "--ell", "2", "--n", "2200", "--k", "1100"],
+        "pmf listing": ["pmf", "--ell", "2", "--n", "2200"],
+        "pmf listing, de Moivre": ["pmf", "--ell", "2", "--n", "2200", "--method", "demoivre"],
+        "conc": ["conc", "--ell", "10", "--n", "4400"],
+        "conc pair": ["conc", "--ell", "2", "--n", "2200", "--pair"],
+        "asymptotics": ["asymptotics", "--ell", "2", "--n-list", "100,2200"],
+    }
+
+    def outputs(self, out: Path, capsys) -> dict[str, str]:
+        """The text of a library sweep and of every command, by name."""
+        report = run_sweep(SweepConfig((10, 10), (4400, 4401)))
+        texts = {"run_sweep": written(write_report_csv, report) + written(write_report_json, report)}
+        for name, argv in self.COMMANDS.items():
+            assert main([arg.replace("{out}", str(out)) for arg in argv]) == 0
+            texts[name] = capsys.readouterr().out
+        texts["report"] += Path(f"{out}.csv").read_text() + Path(f"{out}.json").read_text()
+        return texts
+
+    def test_outputs_past_the_limit_leave_it_alone(self, tmp_path, capsys, monkeypatch):
+        # de Moivre's sum at each of 2,201 points takes seconds; the recurrence
+        # gives the same values (TestPmfCommand), and only their text is tested
+        density = power(LatticeParams(2, 2200))
+        monkeypatch.setattr(cli, "de_moivre_pmf", lambda params, k: density.pmf(k))
+        with no_int_str_limit():
+            unlimited = self.outputs(tmp_path / "r", capsys)
+        assert all(re.search("[0-9]{641}", text) for name, text in unlimited.items()
+                   if name != "asymptotics")
+        limit, set_limit = int_str_limit(), sys.set_int_max_str_digits
+        set_limit(640)
+
+        def refuse(digits):
+            raise AssertionError(f"the int-to-str limit was set to {digits}")
+
+        monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+        try:
+            limited = self.outputs(tmp_path / "r", capsys)
+            assert int_str_limit() == 640
+        finally:
+            set_limit(limit)
+        assert limited == unlimited
 
 
 class TestOracleEquiv:

@@ -1,4 +1,4 @@
-"""The mutation audit's table of directed-rounding sites against the tree.
+"""The mutation audit's tables of rounding and decision sites against the tree.
 The audit itself, one test run per mutant, is ``tests/mutation_audit.py``."""
 
 import shutil
@@ -7,7 +7,23 @@ import mutation_audit
 
 
 def test_every_site_is_found_exactly_once():
+    # the rounding sites and the decision sites alike
+    sites = mutation_audit.mutants()
+    assert len(sites) == len(mutation_audit.SITES) + len(mutation_audit.DECISION_SITES)
     assert mutation_audit.missing_sites(mutation_audit.ROOT) == []
+
+
+def test_every_decision_site_names_one_test_file():
+    for *_, tests in mutation_audit.DECISION_SITES:
+        assert (mutation_audit.ROOT / tests).is_file(), tests
+
+
+def test_a_decision_site_whose_text_is_missing_is_reported(tmp_path):
+    shutil.copytree(mutation_audit.ROOT / "src", tmp_path / "src")
+    path, text, replacement, _ = mutation_audit.DECISION_SITES[-1]
+    target = tmp_path / path
+    target.write_text(target.read_text(encoding="utf-8").replace(text, replacement), encoding="utf-8")
+    assert mutation_audit.missing_sites(tmp_path) == [f"{path}: {text!r} found 0 times"]
 
 
 def test_a_site_whose_text_is_missing_fails_the_audit(tmp_path, monkeypatch, capsys):
