@@ -11,7 +11,7 @@ from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
 
 from .certify import pi_enclosure
-from .errors import check_int
+from .errors import check_lattice
 from .exactdist import LatticeParams, power
 
 __all__ = ["clt_ratio", "local_clt_sup_dev"]
@@ -26,11 +26,6 @@ _PI_LO = pi_enclosure(160).lo
 _PI = _CONTEXT.divide(_PI_LO.numerator, _PI_LO.denominator)
 
 
-def _check(ell: int, n: int) -> None:
-    check_int("ell", ell, 2)  # ell = 1 has zero variance
-    check_int("n", n, 1)
-
-
 def clt_ratio(ell: int, n: int, c: Fraction) -> float:
     """Ratio of the exact peak probability ``c = concentration(LatticeParams(ell, n))``
     to its limiting Gaussian value: sqrt(n) * c * sqrt(pi*(ell**2-1)/6).
@@ -38,7 +33,7 @@ def clt_ratio(ell: int, n: int, c: Fraction) -> float:
     Tends to one from below as n grows; exceeds one exactly in the reversed
     regime of the sharp bound.
     """
-    _check(ell, n)
+    check_lattice(ell, n)
     with localcontext(_CONTEXT):
         value = Decimal(n).sqrt() * (Decimal(c.numerator) / c.denominator)
         return float(value * (_PI * (ell * ell - 1) / 6).sqrt())
@@ -64,7 +59,7 @@ def local_clt_sup_dev(ell: int, n: int) -> float:
     point can beat the sup, and the result equals the full scan's bit for
     bit.
     """
-    _check(ell, n)
+    check_lattice(ell, n)
     d = power(LatticeParams(ell, n))
     top = d.params.top
     denom = d.denominator

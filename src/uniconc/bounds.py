@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .certify import _GUARD_BITS, Interval, RootBound, _check_precision, _round_ratio, _terms
-from .errors import ParameterError, check_int
+from .errors import ParameterError, check_int, check_lattice
 
 __all__ = [
     "main_bound_expr",
@@ -36,15 +36,13 @@ def _pi_root(r: Fraction) -> RootBound:
 
 def main_bound_expr(ell: int, n: int) -> RootBound:
     """sqrt(6 / (pi * (ell**2 - 1) * n)), the sharp peak-probability bound."""
-    check_int("ell", ell, 2)
-    check_int("n", n, 1)
+    check_lattice(ell, n)
     return _pi_root(Fraction(6, (ell * ell - 1) * n))
 
 
 def corollary_bound_expr(ell: int, n: int) -> RootBound:
     """2*sqrt(2/pi) / (ell*sqrt(n)), written as a single square root."""
-    check_int("ell", ell, 2)
-    check_int("n", n, 1)
+    check_lattice(ell, n)
     return _pi_root(Fraction(8, ell * ell * n))
 
 

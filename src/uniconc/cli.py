@@ -23,8 +23,8 @@ from functools import cache
 from itertools import groupby
 from pathlib import Path
 
-from .asymptotics import _check as _check_table_point, clt_ratio, local_clt_sup_dev
-from .errors import ConvergenceError, ParameterError
+from .asymptotics import clt_ratio, local_clt_sup_dev
+from .errors import ConvergenceError, ParameterError, check_lattice
 from .exactdist import (
     LatticeParams,
     concentration,
@@ -270,7 +270,7 @@ def _cmd_asymptotics(args) -> int:
     if not n_list:
         raise ParameterError("--n-list must name at least one power")
     for n in n_list:
-        _check_table_point(args.ell, n)
+        check_lattice(args.ell, n)
     with _outputs(args.out) as (stream,):
         rows = []
         for n in n_list:

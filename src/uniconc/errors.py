@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the one integer-argument
-check."""
+"""Exception types shared across the package, the one integer-argument
+check, and the one check of a lattice point's domain."""
 
-__all__ = ["ParameterError", "DomainError", "ExpressionError", "ConvergenceError", "check_int"]
+__all__ = ["ParameterError", "DomainError", "ExpressionError", "ConvergenceError",
+           "check_int", "check_lattice"]
 
 
 class ParameterError(ValueError):
@@ -35,3 +36,9 @@ def check_int(name: str, value: int, least: int, most: int | None = None) -> Non
     if type(value) is not int or value < least or (most is not None and value > most):
         span = f">= {least}" if most is None else f"in {least}..{most}"
         raise ParameterError(f"{name} must be an integer {span}, got {value!r}")
+
+
+def check_lattice(ell: int, n: int) -> None:
+    """Raise ParameterError unless ell >= 2 and n >= 1: ell = 1 has zero variance."""
+    check_int("ell", ell, 2)
+    check_int("n", n, 1)

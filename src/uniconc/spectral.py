@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, ParameterError, check_int
+from .errors import ConvergenceError, ParameterError, check_lattice
 
 __all__ = ["QuadratureResult", "fourier_pmf", "split_integrals"]
 
@@ -78,8 +78,7 @@ def fourier_pmf(ell: int, n: int, k: int, tol: float = 1e-10) -> QuadratureResul
     """Numeric pmf value at k by Fourier inversion of the characteristic
     function, error_estimate at most tol on success.  Any integer k is
     accepted; outside the support the sum is zero up to rounding."""
-    check_int("ell", ell, 2)
-    check_int("n", n, 1)
+    check_lattice(ell, n)
     _check_tol(tol)
     m = n * (ell - 1) - 2 * k
     # the integrand's degree in 2t, max(|k|, |top - k|), plus one
@@ -119,8 +118,7 @@ def split_integrals(
     sums would take more than ``_MAX_NODES`` nodes in all is refused before
     sampling.
     """
-    check_int("ell", ell, 2)
-    check_int("n", n, 1)
+    check_lattice(ell, n)
     _check_tol(tol)
     alpha = n * (ell - 1) % 2
     degree = (n * (ell - 1) + alpha) // 2

@@ -70,6 +70,11 @@ CSV_COLUMNS = (
     "expected",
 )
 
+# a report holds every cell, about 400 bytes each, until it is written; 2**20
+# cells is about 90 times the 11,800 of four checks on ell 2..40 by n 1..100
+_MAX_CELLS = 2**20
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     ell_range: tuple[int, int] = (2, 10)
@@ -91,6 +96,13 @@ class SweepConfig:
         if len(set(self.checks)) < len(self.checks):
             repeated = sorted({c for c in self.checks if self.checks.count(c) > 1})
             raise ParameterError(f"repeated checks: {repeated}")
+        # counted per check from the ranges, not by walking the grid, so an
+        # oversized grid is refused before any task is built
+        (lo, hi), ells = self.ell_range, [_CHECK_TABLE[c][1] for c in self.checks]
+        rows = sum(hi - lo + 1 if ell is None else lo <= ell <= hi for ell in ells)
+        cells = rows * (self.n_range[1] - self.n_range[0] + 1)
+        if cells > _MAX_CELLS:
+            raise ParameterError(f"the grid has {cells} cells; cap {_MAX_CELLS}")
         _check_precision(self.precision_bits)
         if self.output_format not in ("csv", "json"):
             raise ParameterError(f"format must be csv or json, got {self.output_format}")
@@ -265,7 +277,8 @@ def _cell(
     return SweepCell(p.ell, p.n, check, *exact, *bound, verdict, *margin, expected)
 
 
-def _certified_cell(p: _Point, check: str, expr: RootBound, prec: int, expected: str) -> SweepCell:
+def _certified_cell(p: _Point, check: str, expr: RootBound, prec: int,
+                    expected: str = "holds") -> SweepCell:
     """c(ell, n) < expr, decided against the one enclosure of expr at ``prec``
     that the report also shows."""
     bound = evaluate(expr, prec)
@@ -276,23 +289,23 @@ def _certified_cell(p: _Point, check: str, expr: RootBound, prec: int, expected:
     )
 
 
-def _cell_main(p: _Point, prec: int) -> SweepCell:
+def _cell_main(p: _Point, check: str, prec: int) -> SweepCell:
     expected = "reversed" if (p.n == 2 and p.ell >= 5) else "holds"
-    return _certified_cell(p, "main", p.main_bound, prec, expected)
+    return _certified_cell(p, check, p.main_bound, prec, expected)
 
 
-def _cell_corollary(p: _Point, prec: int) -> SweepCell:
-    return _certified_cell(p, "corollary", bounds.corollary_bound_expr(p.ell, p.n), prec, "holds")
+def _cell_corollary(p: _Point, check: str, prec: int) -> SweepCell:
+    return _certified_cell(p, check, bounds.corollary_bound_expr(p.ell, p.n), prec)
 
 
-def _cell_wallis(p: _Point, prec: int) -> SweepCell:
+def _cell_wallis(p: _Point, check: str, prec: int) -> SweepCell:
     # only run on the two-point lattice (see _CHECK_TABLE), where the
     # concentration is a central binomial probability; k is matched so that
     # c_{2,n} = C(2k,k)/4**k
-    return _certified_cell(p, "wallis", bounds.wallis_bound_expr((p.n + 1) // 2), prec, "holds")
+    return _certified_cell(p, check, bounds.wallis_bound_expr((p.n + 1) // 2), prec)
 
 
-def _cell_bessel_chain(p: _Point, prec: int) -> SweepCell:
+def _cell_bessel_chain(p: _Point, check: str, prec: int) -> SweepCell:
     # pair < G(Var S_n) < 2 * main_bound, run on ell = 3 only (see
     # _CHECK_TABLE); twice the sharp bound is the root of 4x its radicand
     pair, main = pair_concentration(p.pmf), p.main_bound
@@ -305,46 +318,46 @@ def _cell_bessel_chain(p: _Point, prec: int) -> SweepCell:
     # negative exactly when one fails, so the one sign rule decides the chain
     chain = Verdict(Interval(min(left.lo, right.lo), min(left.hi, right.hi)))
     return _cell(
-        p, "bessel_chain", _exact_strings(pair), chain.outcome.value,
+        p, check, _exact_strings(pair), chain.outcome.value,
         _interval_strings(outer), _interval_strings(chain.margin),
     )
 
 
-def _cell_dsequence(p: _Point, prec: int) -> SweepCell:
+def _cell_dsequence(p: _Point, check: str, prec: int) -> SweepCell:
     # the concentration rescaled by sqrt(pi*(ell**2-1)*n/6) stays below d_n;
     # stated equivalently as c < d_n * main_bound so the left side is rational;
     # d_n has r = 1 and k = 0, so the product takes main's radicand
     main, d = p.main_bound, bounds.d_sequence_expr(p.n)
     expr = RootBound(d.a, d.b, main.r, main.k)
-    return _certified_cell(p, "dsequence", expr, prec, "holds")
+    return _certified_cell(p, check, expr, prec)
 
 
-def _cell_bretagnolle(p: _Point, prec: int) -> SweepCell:
+def _cell_bretagnolle(p: _Point, check: str, prec: int) -> SweepCell:
     # c(2, n) is the largest binomial probability C(n, n // 2) / 2**n
     rhs = Fraction(2, p.ell) * Fraction(comb(p.n, p.n // 2), 2**p.n)
     margin = rhs - p.conc  # non-strict comparison: equality holds at ell = 2
     rhs_str, margin_str = decimal_string(rhs), decimal_string(margin)
     verdict = "Holds" if margin >= 0 else "Fails"
-    return _cell(p, "bretagnolle", p.conc_strings, verdict, (rhs_str,) * 2, (margin_str,) * 2)
+    return _cell(p, check, p.conc_strings, verdict, (rhs_str,) * 2, (margin_str,) * 2)
 
 
-def _cell_argmax(p: _Point, prec: int) -> SweepCell:
+def _cell_argmax(p: _Point, check: str, prec: int) -> SweepCell:
     top = p.params.top
     central = {top // 2, (top + 1) // 2}
     peak = argmax_set(p.pmf)
     # for n = 1 the pmf is flat and every point is maximal; the central
     # points must still be among them
     ok = central <= peak if p.n == 1 else peak == central
-    return _cell(p, "argmax", p.central_strings, "Holds" if ok else "Fails")
+    return _cell(p, check, p.central_strings, "Holds" if ok else "Fails")
 
 
-def _cell_moments(p: _Point, prec: int) -> SweepCell:
+def _cell_moments(p: _Point, check: str, prec: int) -> SweepCell:
     mean, var = moments(p.pmf)
     ok = mean == Fraction(p.n * (p.ell - 1), 2) and var == p.variance
-    return _cell(p, "moments", _exact_strings(mean), "Holds" if ok else "Fails")
+    return _cell(p, check, _exact_strings(mean), "Holds" if ok else "Fails")
 
 
-def _cell_oracle_equiv(p: _Point, prec: int) -> SweepCell:
+def _cell_oracle_equiv(p: _Point, check: str, prec: int) -> SweepCell:
     params = p.params
     # By the definition: the numerators are the coefficients of
     # (1 + x + ... + x**(ell-1))**n, each at most ell**(n-1) < 2**(8*width),
@@ -361,12 +374,12 @@ def _cell_oracle_equiv(p: _Point, prec: int) -> SweepCell:
         base = int.from_bytes((b"\x01" + bytes(width - 1)) * p.ell, "little")
         ok = int.from_bytes(packed, "little") == pow(base, p.n)
     ok = ok and de_moivre_pmf(params, -1) == 0 and de_moivre_pmf(params, params.top + 1) == 0
-    return _cell(p, "oracle_equiv", p.central_strings, "Holds" if ok else "Fails")
+    return _cell(p, check, p.central_strings, "Holds" if ok else "Fails")
 
 
-# every check: its cell function and the one ell it is defined on, or None.
-# A check defined on one lattice size keeps the grid semantics honest by
-# skipping other rows instead of silently recomputing them.
+# every check: its cell function, which takes the check's name from its row,
+# and the one ell it is defined on, or None.  A check defined on one lattice
+# size keeps the grid semantics honest by skipping other rows.
 _CHECK_TABLE = {
     "argmax": (_cell_argmax, None),
     "bessel_chain": (_cell_bessel_chain, 3),
@@ -385,7 +398,7 @@ CHECKS = tuple(sorted(_CHECK_TABLE))
 def _run_point(task: tuple[int, int, tuple[str, ...], int]) -> list[SweepCell]:
     ell, n, checks, prec = task
     point = _Point(ell, n)
-    return [_CHECK_TABLE[check][0](point, prec) for check in checks]
+    return [_CHECK_TABLE[check][0](point, check, prec) for check in checks]
 
 
 def _tasks(config: SweepConfig) -> list[tuple[int, int, tuple[str, ...], int]]:

@@ -16,7 +16,8 @@ The audit fails if any mutant survives, if a site's text is not found
 exactly once, or if the unmutated copy does not pass every site's tests.
 A survivor is a missing test: add the test that kills it, never drop the
 site.  A change that adds a directed rounding or a decision adds its site
-here.
+here.  A mutant that changes no output is not a site: it goes in
+``EQUIVALENT_MUTANTS`` with the reason, and the audit does not run it.
 
 Run from the root of a checkout:
 
@@ -43,7 +44,9 @@ SUBSET = ("tests/test_certify.py", "tests/test_bounds.py")
 _CERTIFY = "src/uniconc/certify.py"
 _BOUNDS = "src/uniconc/bounds.py"
 _SWEEP = "src/uniconc/sweep.py"
+_EXACTDIST = "src/uniconc/exactdist.py"
 _CLI_TESTS = "tests/test_cli.py"
+_BOUNDS_TESTS = "tests/test_bounds.py"
 
 SITES = [
     # _round_ratio: the one quotient, at either sign of the exponent
@@ -142,6 +145,79 @@ DECISION_SITES = [
      "ok = mean == Fraction(p.n * (p.ell - 1), 2) and var == p.variance",
      "ok = var == p.variance",
      _CLI_TESTS),
+    # corollary_bound_expr: the radicand 8 / (ell**2 n), not main's ell**2 - 1
+    (_BOUNDS,
+     "return _pi_root(Fraction(8, ell * ell * n))",
+     "return _pi_root(Fraction(8, (ell * ell - 1) * n))",
+     _BOUNDS_TESTS),
+    # d_sequence_expr: the constants 3/20 and 21/160 of d_n
+    (_BOUNDS,
+     "rational = Fraction(160 * n * n - 24 * n + 21, 160 * n * n)",
+     "rational = Fraction(160 * n * n - 23 * n + 21, 160 * n * n)",
+     _BOUNDS_TESTS),
+    (_BOUNDS,
+     "rational = Fraction(160 * n * n - 24 * n + 21, 160 * n * n)",
+     "rational = Fraction(160 * n * n - 24 * n + 20, 160 * n * n)",
+     _BOUNDS_TESTS),
+    # _cell_wallis: k is matched so that c(2, n) = C(2k, k) / 4**k
+    (_SWEEP,
+     "return _certified_cell(p, check, bounds.wallis_bound_expr((p.n + 1) // 2), prec)",
+     "return _certified_cell(p, check, bounds.wallis_bound_expr(p.n // 2 + 1), prec)",
+     _CLI_TESTS),
+    # _cell_bretagnolle: the comparison is non-strict, equality at ell = 2
+    (_SWEEP,
+     'verdict = "Holds" if margin >= 0 else "Fails"',
+     'verdict = "Holds" if margin > 0 else "Fails"',
+     _CLI_TESTS),
+    # _Point.variance, which moments and the Bessel chain read, wrong at one ell
+    (_SWEEP,
+     "return Fraction(self.n * (self.ell * self.ell - 1), 12)",
+     "return Fraction(self.n * (self.ell * self.ell - 1), 12 if self.ell != 7 else 11)",
+     _CLI_TESTS),
+    # _cell_oracle_equiv: each off-support de Moivre probe, dropped alone
+    (_SWEEP,
+     "ok = ok and de_moivre_pmf(params, -1) == 0 and de_moivre_pmf(params, params.top + 1) == 0",
+     "ok = ok and de_moivre_pmf(params, params.top + 1) == 0",
+     _CLI_TESTS),
+    (_SWEEP,
+     "ok = ok and de_moivre_pmf(params, -1) == 0 and de_moivre_pmf(params, params.top + 1) == 0",
+     "ok = ok and de_moivre_pmf(params, -1) == 0",
+     _CLI_TESTS),
+    # _cell_bessel_chain: the chain's margin is the componentwise minimum
+    (_SWEEP,
+     "chain = Verdict(Interval(min(left.lo, right.lo), min(left.hi, right.hi)))",
+     "chain = Verdict(Interval(max(left.lo, right.lo), min(left.hi, right.hi)))",
+     _CLI_TESTS),
+    # SweepSummary.unexpected counts Inconclusive cells too
+    (_SWEEP,
+     "return self.mismatches + self.inconclusive",
+     "return self.mismatches",
+     _CLI_TESTS),
+    # SweepCell.mismatch: a Fails cell in a holds region is a mismatch
+    (_SWEEP,
+     'return self.verdict != "Inconclusive" and (self.expected == "holds") != (',
+     'return self.verdict == "Holds" and (self.expected == "holds") != (',
+     _CLI_TESTS),
+]
+
+# mutants that change no output, so no test can kill them; each is listed
+# with the reason, as (file, exact line text, replacement, reason), and the
+# audit does not run them
+EQUIVALENT_MUTANTS = [
+    (_SWEEP,
+     "width = ((p.ell**p.n).bit_length() + 7) // 8",
+     "width = ((p.ell**p.n).bit_length() + 15) // 8",
+     "a wider packing slot still holds every coefficient, so the packing stays "
+     "injective and the product carry-free"),
+    (_SWEEP,
+     "chunk = max(1, len(tasks) // (workers * 8))",
+     "chunk = max(1, len(tasks) // workers)",
+     "the chunk size batches tasks for the pool, whose map returns them in "
+     "task order at any size"),
+    (_EXACTDIST,
+     "best = nums[c] + nums[c + 1] if len(nums) > 1 else nums[0]",
+     "best = nums[c] + nums[c + 1] + 0 * nums[-1] if len(nums) > 1 else nums[0]",
+     "the added term is zero"),
 ]
 
 

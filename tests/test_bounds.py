@@ -1,5 +1,6 @@
 """Bound enclosures against independent references and certified grid properties."""
 
+import re
 from fractions import Fraction
 from math import comb
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from uniconc.asymptotics import clt_ratio, local_clt_sup_dev
 from uniconc.bounds import (
     _side_sums,
     _skellam_sums,
@@ -19,6 +21,7 @@ from uniconc.bounds import (
 )
 from uniconc.certify import _GUARD_BITS, Interval, Outcome, RootBound, evaluate, verdict_between
 from uniconc.errors import ParameterError
+from uniconc.spectral import fourier_pmf, split_integrals
 
 from test_certify import fraction_of
 
@@ -71,6 +74,30 @@ class TestBuilderValidation:
     def test_rejects_bools_and_non_integers(self, builder, args):
         with pytest.raises(ParameterError):
             builder(*args)
+
+    # every entry point whose domain is the sharp bound's, ell >= 2 and n >= 1
+    LATTICE_ENTRIES = {
+        "main_bound_expr": main_bound_expr,
+        "corollary_bound_expr": corollary_bound_expr,
+        "fourier_pmf": lambda ell, n: fourier_pmf(ell, n, 0),
+        "split_integrals": split_integrals,
+        "clt_ratio": lambda ell, n: clt_ratio(ell, n, Fraction(1, 2)),
+        "local_clt_sup_dev": local_clt_sup_dev,
+    }
+
+    @pytest.mark.parametrize(
+        "ell, n, message",
+        [
+            (1, 2, "ell must be an integer >= 2, got 1"),
+            (2, 0, "n must be an integer >= 1, got 0"),
+            (True, 2, "ell must be an integer >= 2, got True"),
+            (2, 2.0, "n must be an integer >= 1, got 2.0"),
+        ],
+    )
+    @pytest.mark.parametrize("entry", sorted(LATTICE_ENTRIES))
+    def test_lattice_domain_refused_with_one_message(self, entry, ell, n, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            self.LATTICE_ENTRIES[entry](ell, n)
 
 
 class TestMainBound:

@@ -802,6 +802,44 @@ class TestSweepEngine:
         assert main(["verify", "--ell-range", "2:2", "--n-range", "1:1",
                      "--precision-bits", "16385"]) == 2
 
+    CAP = sweep._MAX_CELLS
+
+    def test_cell_cap(self):
+        # one cell over the cap is refused when the config is built, with the
+        # count and the cap; a grid at the cap is accepted, and never run here
+        message = rf"^the grid has {self.CAP + 1} cells; cap {self.CAP}$"
+        with pytest.raises(ParameterError, match=message):
+            SweepConfig((2, 2), (1, self.CAP + 1))
+        assert SweepConfig((2, 2), (1, self.CAP)).n_range == (1, self.CAP)
+        # each check counts the ells it runs on: main 3, bessel_chain 1
+        SweepConfig((2, 4), (1, self.CAP // 4), ("main", "bessel_chain"))
+        with pytest.raises(ParameterError, match=rf"has {self.CAP + 4} cells"):
+            SweepConfig((2, 4), (1, self.CAP // 4 + 1), ("main", "bessel_chain"))
+
+    def test_cell_cap_counts_only_the_ell_a_check_runs_on(self):
+        # wallis runs on ell = 2 alone, so a wide ell range adds no cell
+        SweepConfig((2, 10**6), (1, self.CAP), ("wallis",))
+        SweepConfig((3, 10**6), (1, 10**9), ("wallis",))
+        with pytest.raises(ParameterError, match="cells; cap"):
+            SweepConfig((2, 10**6), (1, self.CAP), ("wallis", "main"))
+
+    def test_oversized_grid_exits_usage_before_any_output(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_sweep", None)
+        out = tmp_path / "cap" / "r.csv"
+        args = ["--ell-range", "2:100000", "--n-range", "1:100000", "--out", str(out)]
+        assert main(["verify", *args]) == 2
+        assert main(["report", *args]) == 2
+        assert "cells; cap" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    def test_a_cell_carries_its_rows_name(self, monkeypatch):
+        # a second row for main's cell function: each cell is named by the
+        # row that ran it, and is otherwise main's cell
+        monkeypatch.setitem(sweep._CHECK_TABLE, "alias", (sweep._cell_main, None))
+        alias, cell = sweep._run_point((5, 2, ("alias", "main"), 128))
+        assert (alias.check, cell.check) == ("alias", "main")
+        assert dataclasses.replace(alias, check="main") == cell
+
     @pytest.mark.parametrize(
         "requested,cpus,units,expected",
         [(10**6, 2, 540, 2), (8, 64, 3, 3), (1, 64, 540, 1), (8, None, 540, 1), (4, 8, 0, 1)],
@@ -963,7 +1001,7 @@ class TestSweepEngine:
         links = iter((left, right))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sweep, "verdict_between", lambda lhs, rhs, prec: Verdict(next(links)))
-            cell = sweep._cell_bessel_chain(sweep._Point(3, 1), 64)
+            cell = sweep._cell_bessel_chain(sweep._Point(3, 1), "bessel_chain", 64)
         want = three_way(Verdict(left).outcome, Verdict(right).outcome)
         assert cell.verdict == want.value
         ends = min(left.lo, right.lo), min(left.hi, right.hi)
@@ -991,7 +1029,7 @@ class TestSweepEngine:
             *sweep._interval_strings(outer), chain.outcome.value,
             *sweep._interval_strings(chain.margin), "holds",
         )
-        assert sweep._cell_bessel_chain(sweep._Point(3, n), prec) == want
+        assert sweep._cell_bessel_chain(sweep._Point(3, n), "bessel_chain", prec) == want
 
 
 grid_points = st.tuples(st.integers(min_value=2, max_value=12), st.integers(min_value=1, max_value=60))
@@ -1003,7 +1041,7 @@ def oracle_verdict(ell: int, n: int, nums=None) -> str:
     point = sweep._Point(ell, n)
     if nums is not None:
         point.pmf = ExactDensity(point.params, tuple(nums))
-    return sweep._cell_oracle_equiv(point, 256).verdict
+    return sweep._cell_oracle_equiv(point, "oracle_equiv", 256).verdict
 
 
 @pytest.mark.skipif(int_str_limit() is None, reason="the interpreter has no int-to-str limit")

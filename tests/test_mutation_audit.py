@@ -13,6 +13,14 @@ def test_every_site_is_found_exactly_once():
     assert mutation_audit.missing_sites(mutation_audit.ROOT) == []
 
 
+def test_every_equivalent_mutant_is_found_exactly_once_and_not_run():
+    for path, text, replacement, reason in mutation_audit.EQUIVALENT_MUTANTS:
+        assert (mutation_audit.ROOT / path).read_text(encoding="utf-8").count(text) == 1, text
+        assert reason and replacement != text
+    run = {(path, replacement) for path, _, replacement, _ in mutation_audit.mutants()}
+    assert not run & {(path, r) for path, _, r, _ in mutation_audit.EQUIVALENT_MUTANTS}
+
+
 def test_every_decision_site_names_one_test_file():
     for *_, tests in mutation_audit.DECISION_SITES:
         assert (mutation_audit.ROOT / tests).is_file(), tests
